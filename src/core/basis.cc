@@ -11,6 +11,7 @@
 #include "linalg/nullspace.h"
 #include "linalg/rational.h"
 #include "linalg/solve.h"
+#include "obs/prof.h"
 
 namespace rasengan::core {
 
@@ -226,25 +227,37 @@ simplifyBasis(std::vector<linalg::IntVec> basis, int max_passes)
 
 namespace {
 
+using StateSet = std::unordered_set<BitVec, BitVecHash>;
+
+/**
+ * Add @p seeds to @p reached and close the set under +/-u moves for
+ * every u in @p vectors, expanding from the states that were new.
+ * States already in @p reached must have all their partners there.
+ */
+void
+growClosure(const std::vector<TransitionHamiltonian> &vectors,
+            StateSet &reached, const std::vector<BitVec> &seeds)
+{
+    std::vector<BitVec> frontier;
+    for (const BitVec &x : seeds)
+        if (reached.insert(x).second)
+            frontier.push_back(x);
+    while (!frontier.empty()) {
+        const BitVec x = frontier.back();
+        frontier.pop_back();
+        for (const auto &tau : vectors)
+            if (auto y = tau.partner(x); y && reached.insert(*y).second)
+                frontier.push_back(*y);
+    }
+}
+
 /** Closure of {start} under +/-u moves for every u in @p vectors. */
-std::unordered_set<BitVec, BitVecHash>
+StateSet
 reachableClosure(const std::vector<TransitionHamiltonian> &vectors,
                  const BitVec &start)
 {
-    std::unordered_set<BitVec, BitVecHash> reached{start};
-    std::vector<BitVec> frontier{start};
-    while (!frontier.empty()) {
-        std::vector<BitVec> next;
-        for (const BitVec &x : frontier) {
-            for (const auto &tau : vectors) {
-                if (auto y = tau.partner(x)) {
-                    if (reached.insert(*y).second)
-                        next.push_back(*y);
-                }
-            }
-        }
-        frontier = std::move(next);
-    }
+    StateSet reached;
+    growClosure(vectors, reached, {start});
     return reached;
 }
 
@@ -254,19 +267,17 @@ std::vector<linalg::IntVec>
 transitionVectors(const problems::Problem &problem, bool simplify,
                   size_t max_feasible)
 {
-    auto basis = homogeneousBasis(problem);
-    if (simplify)
-        basis = simplifyBasis(basis);
+    const auto original = homogeneousBasis(problem);
+    auto basis = simplify ? simplifyBasis(original) : original;
     if (!problem.enumerationEnabled()) {
         // Connectivity cannot be verified without enumeration, and the
         // simplified vectors alone can disconnect the walk (sparser
         // vectors are dark on more states).  Keep the union: pruning
         // later drops whichever copies do not expand.
         if (simplify) {
-            auto original = homogeneousBasis(problem);
-            for (auto &u : original) {
+            for (const auto &u : original) {
                 if (std::find(basis.begin(), basis.end(), u) == basis.end())
-                    basis.push_back(std::move(u));
+                    basis.push_back(u);
             }
         }
         return basis;
@@ -275,9 +286,10 @@ transitionVectors(const problems::Problem &problem, bool simplify,
     if (feasible.size() > max_feasible || feasible.size() <= 1)
         return basis;
 
+    RASENGAN_PROF("transition", "augment-connectivity");
+    const BitVec &start = problem.trivialFeasible();
     auto transitions = makeTransitions(basis);
-    auto reached =
-        reachableClosure(transitions, problem.trivialFeasible());
+    StateSet reached = reachableClosure(transitions, start);
 
     const int n = problem.numVars();
     for (const BitVec &target : feasible) {
@@ -287,17 +299,21 @@ transitionVectors(const problems::Problem &problem, bool simplify,
         // difference of two feasible solutions is a signed-0/1 kernel
         // vector (Equation 3).
         linalg::IntVec u(n);
-        for (int i = 0; i < n; ++i) {
-            u[i] = (target.get(i) ? 1 : 0) -
-                   (problem.trivialFeasible().get(i) ? 1 : 0);
-        }
+        for (int i = 0; i < n; ++i)
+            u[i] = (target.get(i) ? 1 : 0) - (start.get(i) ? 1 : 0);
         panic_if(linalg::nonZeroCount(u) == 0,
                  "duplicate feasible state in augmentation");
         basis.push_back(u);
         transitions.emplace_back(basis.back());
-        // The new vector may capture more than one orphan: recompute the
-        // closure before looking at the next target.
-        reached = reachableClosure(transitions, problem.trivialFeasible());
+        // The new vector may capture more than one orphan, so update the
+        // closure before looking at the next target.  It is closed under
+        // every older vector: growth can only start at the new vector's
+        // partners of reached states.
+        std::vector<BitVec> seeds;
+        for (const BitVec &x : reached)
+            if (auto y = transitions.back().partner(x))
+                seeds.push_back(*y);
+        growClosure(transitions, reached, seeds);
     }
 
     // Augmentation vectors (raw feasible differences) can have wide
@@ -306,8 +322,7 @@ transitionVectors(const problems::Problem &problem, bool simplify,
     if (simplify && basis.size() > 1) {
         auto candidate = simplifyBasis(basis);
         auto cand_reached =
-            reachableClosure(makeTransitions(candidate),
-                             problem.trivialFeasible());
+            reachableClosure(makeTransitions(candidate), start);
         if (cand_reached.size() == reached.size())
             basis = std::move(candidate);
     }

@@ -34,7 +34,14 @@ buildChain(const std::vector<TransitionHamiltonian> &transitions,
                            ? options.rounds
                            : (options.earlyStop ? m * m : m);
 
+    // The reachable set R, also kept in insertion order, plus a cursor
+    // per operator: every partner of order[0, scanned[k]) under k is in
+    // R already (R only grows), so step k scans just the newer states.
+    // The partner map is an involution, so the states step k adds have
+    // their k-partners in R too and are never rescanned by k.
     std::unordered_set<BitVec, BitVecHash> reachable{start};
+    std::vector<BitVec> order{start};
+    std::vector<size_t> scanned(m, 0);
     int useless_streak = 0;
     bool stopped = false;
 
@@ -42,11 +49,14 @@ buildChain(const std::vector<TransitionHamiltonian> &transitions,
         for (int k = 0; k < m && !stopped; ++k) {
             chain.unprunedSteps.push_back(k);
 
-            std::vector<BitVec> partners =
-                expandStates(reachable, transitions[k]);
-            bool expanded = false;
-            for (const BitVec &y : partners)
-                expanded |= reachable.insert(y).second;
+            const size_t before = order.size();
+            for (size_t i = scanned[k]; i < before; ++i) {
+                if (auto y = transitions[k].partner(order[i]);
+                    y && reachable.insert(*y).second)
+                    order.push_back(*y);
+            }
+            scanned[k] = order.size();
+            const bool expanded = order.size() > before;
             chain.unprunedCoverage.push_back(reachable.size());
 
             if (expanded || !options.prune) {

@@ -55,13 +55,16 @@ struct Chain
  * The reachability sweep applies each candidate operator to the current
  * reachable set R: states matching either pattern flip to their partner;
  * a step is kept (pruning on) iff it adds at least one new state to R.
+ * Each operator scans each state of R once over the whole walk.
  */
 Chain buildChain(const std::vector<TransitionHamiltonian> &transitions,
                  const BitVec &start, const ChainOptions &options = {});
 
 /**
- * One step of the reachability expansion: all partners of @p states under
- * @p transition (including already-known ones).
+ * One full-rescan step of the reachability expansion: all partners of
+ * @p states under @p transition (including already-known ones).
+ * buildChain scans only states new to each operator; tests replay chains
+ * with this as the reference.
  */
 std::vector<BitVec>
 expandStates(const std::unordered_set<BitVec, BitVecHash> &states,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "linalg/rref.h"
+#include "obs/prof.h"
 
 namespace rasengan::linalg {
 
@@ -35,26 +36,32 @@ namespace {
 
 /**
  * Shared pruned DFS over binary assignments.  Variables are assigned in
- * index order; rowLo/rowHi track, per row, the bounds of C x over all
+ * index order; lo_/hi_ track, per row, the bounds of C x over all
  * completions of the current partial assignment.
+ *
+ * Every node the search enters has passed the pruning check on every
+ * row.  Committing a variable changes only the rows of its nonzero
+ * entries, so only those rows are updated and re-checked: the search
+ * visits the same nodes as a full check would, in the same order.
  */
 class BinaryDfs
 {
   public:
     BinaryDfs(const IntMat &c, const IntVec &b, size_t limit)
-        : c_(c), b_(b), limit_(limit), n_(c.cols()),
+        : b_(b), limit_(limit), n_(c.cols()),
           x_(static_cast<size_t>(c.cols()), 0),
-          lo_(c.rows(), 0), hi_(c.rows(), 0)
+          lo_(c.rows(), 0), hi_(c.rows(), 0), acc_(c.rows(), 0),
+          entries_(static_cast<size_t>(c.cols()))
     {
         // Initially every variable is free: bounds accumulate the
         // negative/positive parts of each row.
-        for (int r = 0; r < c_.rows(); ++r) {
+        for (int r = 0; r < c.rows(); ++r) {
             for (int col = 0; col < n_; ++col) {
-                int64_t a = c_.at(r, col);
-                if (a < 0)
-                    lo_[r] += a;
-                else
-                    hi_[r] += a;
+                int64_t a = c.at(r, col);
+                if (a == 0)
+                    continue;
+                entries_[col].emplace_back(r, a);
+                (a < 0 ? lo_ : hi_)[r] += a;
             }
         }
     }
@@ -63,32 +70,25 @@ class BinaryDfs
     run(bool first_only)
     {
         firstOnly_ = first_only;
-        recurse(0);
+        bool feasible = true;
+        for (size_t r = 0; r < b_.size(); ++r)
+            feasible &= rowFeasible(r);
+        if (feasible)
+            recurse(0);
         return std::move(found_);
     }
 
   private:
+    /** acc_[r] + [lo_[r], hi_[r]] must contain b_[r]. */
     bool
-    feasibleSoFar() const
+    rowFeasible(size_t r) const
     {
-        for (int r = 0; r < c_.rows(); ++r) {
-            // acc_[r] + [lo_, hi_] must contain b_[r].
-            if (acc_[r] + lo_[r] > b_[r] || acc_[r] + hi_[r] < b_[r])
-                return false;
-        }
-        return true;
+        return acc_[r] + lo_[r] <= b_[r] && acc_[r] + hi_[r] >= b_[r];
     }
 
     void
     recurse(int var)
     {
-        if (done_)
-            return;
-        if (var == 0) {
-            acc_.assign(c_.rows(), 0);
-            if (!feasibleSoFar())
-                return;
-        }
         if (var == n_) {
             found_.push_back(x_);
             if (firstOnly_ || (limit_ && found_.size() >= limit_))
@@ -99,23 +99,17 @@ class BinaryDfs
             x_[var] = value;
             // Commit variable `var`: move its contribution from the free
             // bounds into the accumulated sum.
-            for (int r = 0; r < c_.rows(); ++r) {
-                int64_t a = c_.at(r, var);
-                if (a < 0)
-                    lo_[r] -= a;
-                else
-                    hi_[r] -= a;
+            bool feasible = true;
+            for (auto [r, a] : entries_[var]) {
+                (a < 0 ? lo_ : hi_)[r] -= a;
                 acc_[r] += a * value;
+                feasible &= rowFeasible(r);
             }
-            if (feasibleSoFar())
+            if (feasible)
                 recurse(var + 1);
-            for (int r = 0; r < c_.rows(); ++r) {
-                int64_t a = c_.at(r, var);
+            for (auto [r, a] : entries_[var]) {
                 acc_[r] -= a * value;
-                if (a < 0)
-                    lo_[r] += a;
-                else
-                    hi_[r] += a;
+                (a < 0 ? lo_ : hi_)[r] += a;
             }
             if (done_)
                 return;
@@ -123,13 +117,14 @@ class BinaryDfs
         x_[var] = 0;
     }
 
-    const IntMat &c_;
     const IntVec &b_;
     size_t limit_;
     int n_;
     IntVec x_;
     IntVec lo_, hi_;
     IntVec acc_;
+    /** Per column: its nonzero (row, coefficient) entries. */
+    std::vector<std::vector<std::pair<size_t, int64_t>>> entries_;
     std::vector<IntVec> found_;
     bool firstOnly_ = false;
     bool done_ = false;
@@ -154,6 +149,7 @@ enumerateBinary(const IntMat &c, const IntVec &b, size_t limit)
 {
     fatal_if(static_cast<int>(b.size()) != c.rows(),
              "enumerateBinary: b size {} != rows {}", b.size(), c.rows());
+    RASENGAN_PROF("linalg", "enumerate-binary");
     BinaryDfs dfs(c, b, limit);
     return dfs.run(false);
 }

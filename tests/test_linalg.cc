@@ -11,6 +11,7 @@
 
 #include <set>
 
+#include "common/rng.h"
 #include "linalg/matrix.h"
 #include "linalg/nullspace.h"
 #include "linalg/rational.h"
@@ -213,6 +214,71 @@ TEST(Solve, EnumerateRespectsLimit)
 {
     auto sols = enumerateBinary(paperMatrix(), paperBounds(), 2);
     EXPECT_EQ(sols.size(), 2u);
+}
+
+/**
+ * Every binary solution of C x = b in the DFS order: lexicographic with
+ * x_0 as the most significant digit, cut at @p limit (0 = no limit).
+ */
+std::vector<IntVec>
+bruteForceSolutions(const IntMat &c, const IntVec &b, size_t limit)
+{
+    const int n = c.cols();
+    std::vector<IntVec> out;
+    for (uint64_t code = 0; code < (uint64_t{1} << n); ++code) {
+        IntVec x(n);
+        for (int i = 0; i < n; ++i)
+            x[i] = static_cast<int64_t>((code >> (n - 1 - i)) & 1);
+        if (!satisfies(c, b, x))
+            continue;
+        out.push_back(std::move(x));
+        if (limit && out.size() >= limit)
+            break;
+    }
+    return out;
+}
+
+TEST(Solve, EnumerateMatchesBruteForce)
+{
+    // Random systems with zero columns, negative coefficients and both
+    // planted (feasible) and arbitrary (often infeasible) right-hand
+    // sides: the pruned DFS must list exactly the brute-force solutions
+    // in the same order, also when a limit cuts the list short.
+    Rng rng(0xe7u);
+    for (int trial = 0; trial < 120; ++trial) {
+        const int n = static_cast<int>(rng.uniformInt(1, 16));
+        const int rows = static_cast<int>(rng.uniformInt(1, 5));
+        IntMat c(rows, n);
+        for (int col = 0; col < n; ++col) {
+            if (rng.bernoulli(0.2))
+                continue; // a zero column: the variable is unconstrained
+            for (int r = 0; r < rows; ++r)
+                c.at(r, col) = rng.bernoulli(0.5) ? rng.uniformInt(-2, 2) : 0;
+        }
+        IntVec b(rows);
+        if (rng.bernoulli(0.7)) {
+            IntVec x0(n);
+            for (int i = 0; i < n; ++i)
+                x0[i] = rng.bernoulli(0.5) ? 1 : 0;
+            b = applyInt(c, x0);
+        } else {
+            for (int r = 0; r < rows; ++r)
+                b[r] = rng.uniformInt(-3, 3);
+        }
+
+        auto all = bruteForceSolutions(c, b, 0);
+        EXPECT_EQ(enumerateBinary(c, b), all) << "trial " << trial;
+        for (size_t limit : {size_t{1}, size_t{3}, all.size() + 1}) {
+            EXPECT_EQ(enumerateBinary(c, b, limit),
+                      bruteForceSolutions(c, b, limit))
+                << "trial " << trial << " limit " << limit;
+        }
+        auto one = solveBinary(c, b);
+        ASSERT_EQ(one.has_value(), !all.empty()) << "trial " << trial;
+        if (one) {
+            EXPECT_EQ(*one, all.front()) << "trial " << trial;
+        }
+    }
 }
 
 TEST(Solve, SatisfiesRejectsWrongSizes)

@@ -9,9 +9,12 @@
 
 #include <cmath>
 #include <set>
+#include <sstream>
 
 #include "core/analysis.h"
+#include "core/basis.h"
 #include "core/rasengan.h"
+#include "problems/io.h"
 #include "problems/metrics.h"
 #include "problems/suite.h"
 
@@ -37,6 +40,101 @@ TEST(Rasengan, PipelineArtifactsAreConsistent)
     for (const Segment &seg : solver.segments())
         covered += seg.stepCount;
     EXPECT_EQ(covered, solver.numParams());
+}
+
+/**
+ * Facility-location text in the flp-cold request layout: m open bits,
+ * d*m assignment bits, d*m slack bits; facility 0 serves every demand.
+ * The costs do not shape the pipeline; they only keep the text valid.
+ */
+std::string
+flpText(int m, int d)
+{
+    const int n = m + 2 * d * m;
+    auto assign = [m](int i, int j) { return m + i * m + j; };
+    auto slack = [m, d](int i, int j) { return m + d * m + i * m + j; };
+    std::ostringstream text;
+    text << "problem FLP" << n << " FLP\nvars " << n << "\n";
+    for (int v = 0; v < m + d * m; ++v)
+        text << "objective linear " << v << " " << 1 + (v * 7) % 9 << "\n";
+    for (int i = 0; i < d; ++i) {
+        text << "constraint 1";
+        for (int j = 0; j < m; ++j)
+            text << " " << assign(i, j) << ":1";
+        text << "\n";
+    }
+    for (int i = 0; i < d; ++i)
+        for (int j = 0; j < m; ++j)
+            text << "constraint 0 " << j << ":-1 " << assign(i, j) << ":1 "
+                 << slack(i, j) << ":1\n";
+    std::string feasible(n, '0');
+    feasible[0] = '1';
+    for (int i = 0; i < d; ++i)
+        feasible[assign(i, 0)] = '1';
+    text << "feasible " << feasible << "\n";
+    return text.str();
+}
+
+/** FNV-1a over every field of the transition set, chain and segments. */
+uint64_t
+artifactDigest(const PipelineArtifacts &artifacts)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    auto mixAll = [&mix](const auto &values) {
+        mix(values.size());
+        for (auto v : values)
+            mix(static_cast<uint64_t>(v));
+    };
+    mix(artifacts.transitions.size());
+    for (const TransitionHamiltonian &tau : artifacts.transitions)
+        mixAll(tau.vector());
+    const Chain &chain = artifacts.chain;
+    mixAll(chain.steps);
+    mixAll(chain.coverage);
+    mixAll(chain.unprunedSteps);
+    mixAll(chain.unprunedCoverage);
+    mix(chain.reachableCount);
+    mix(chain.capped ? 1 : 0);
+    mix(artifacts.segments.size());
+    for (const Segment &seg : artifacts.segments) {
+        mix(static_cast<uint64_t>(seg.firstStep));
+        mix(static_cast<uint64_t>(seg.stepCount));
+    }
+    return h;
+}
+
+TEST(Rasengan, FlpPipelineArtifactsMatchGoldenDigest)
+{
+    // Pinned digests of the enumerable 27- and 44-variable FLP
+    // pipelines (132 and 2192 feasible states, both augmented): a change
+    // to the basis, augmentation, chain sweep or segmentation that moves
+    // any artifact byte fails here.
+    struct Golden
+    {
+        int facilities, demands;
+        uint64_t digest;
+    };
+    for (const Golden &g : {Golden{3, 4, 0xc765e3fbcafdd2acull},
+                            Golden{4, 5, 0x17a557485746e6d9ull}}) {
+        auto parsed = problems::parseProblem(flpText(g.facilities, g.demands));
+        ASSERT_TRUE(parsed.problem.has_value()) << parsed.error;
+        ASSERT_TRUE(parsed.problem->enumerationEnabled());
+        PipelineArtifacts artifacts =
+            buildPipelineArtifacts(*parsed.problem, RasenganOptions{});
+        EXPECT_GT(artifacts.transitions.size(),
+                  homogeneousBasis(*parsed.problem).size());
+        EXPECT_EQ(artifacts.chain.reachableCount,
+                  parsed.problem->feasibleCount());
+        EXPECT_EQ(artifactDigest(artifacts), g.digest)
+            << parsed.problem->id() << " digest 0x" << std::hex
+            << artifactDigest(artifacts);
+    }
 }
 
 TEST(Rasengan, ExecuteStaysInFeasibleSpace)
