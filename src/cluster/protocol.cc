@@ -211,8 +211,6 @@ encodeMessage(const Message &msg)
         w.field("cache_bytes_in_use", msg.cacheBytesInUse);
         if (!msg.metrics.empty())
             w.field("metrics", msg.metrics);
-        if (!msg.tuneRecords.empty())
-            w.field("tune_records", msg.tuneRecords);
         if (!msg.spans.empty())
             w.field("spans", msg.spans);
         if (msg.spansDropped != 0)
@@ -272,7 +270,6 @@ parseMessage(const std::string &payload)
         u64Field(obj, "cache_evictions", &msg.cacheEvictions);
         u64Field(obj, "cache_bytes_in_use", &msg.cacheBytesInUse);
         strField(obj, "metrics", &msg.metrics);
-        strField(obj, "tune_records", &msg.tuneRecords);
         strField(obj, "spans", &msg.spans);
         u64Field(obj, "spans_dropped", &msg.spansDropped);
     } else if (msg.type == "drain" || msg.type == "bye") {

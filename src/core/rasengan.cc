@@ -122,7 +122,6 @@ RasenganSolver::evolveSegment(int seg_index, const BitVec &init,
 
     auto direct = [&](qsim::SparseSegmentPlan *plan) {
         qsim::SparseState sim(n, init);
-        sim.setDenseLookup(options_.denseIndexLookup);
         const uint64_t epoch0 = sim.supportEpoch();
         for (int k = 0; k < seg.stepCount; ++k) {
             qsim::SparseStepPlan *step = nullptr;

@@ -111,18 +111,6 @@ struct RasenganOptions
      */
     bool cacheRotationPlans = true;
     /**
-     * Use the dense direct-index partner lookup inside every sparse
-     * pair rotation (SparseState::setDenseLookup) instead of the
-     * per-state binary search.  Result-invariant by construction (the
-     * lookup returns the same integer indices the search would), and
-     * ignored above SparseState::kDenseLookupMaxQubits, so the adaptive
-     * tuner may flip it freely.  Wins when the populated support is
-     * large relative to log2(support) search cost; loses on tiny
-     * supports where table population dominates -- exactly the
-     * trade-off the tune/ cost model measures.
-     */
-    bool denseIndexLookup = false;
-    /**
      * Post-rotation prune threshold on |amplitude|^2 forwarded to every
      * sparse kernel invocation (<= 0 disables pruning entirely, keeping
      * exact zeros in the support).
@@ -341,9 +329,7 @@ class RasenganSolver
     /**
      * Largest sparse-simulator support seen at any segment boundary
      * across every execution so far -- the observed support-growth
-     * summary the serve telemetry and the adaptive tuner's measurement
-     * records carry (large supports are where the dense direct-index
-     * lookup pays off).
+     * summary the serve telemetry carries.
      */
     uint64_t maxObservedSupport() const { return maxObservedSupport_; }
 

@@ -1015,11 +1015,6 @@ Daemon::runOne(QueuedJob job)
         runningCostUnits_ = job.slo.costUnits;
     }
 
-    // Worker thread, strictly serial: the tuner hook may set per-job
-    // tuning fields and apply process-wide knobs for this job.
-    if (options_.onJobPrepared)
-        options_.onJobPrepared(job.prepared);
-
     obs::SpanContext ctx;
     ctx.traceId = req.traceHint;
     obs::Span span("daemon", "job", req.id, ctx);
@@ -1032,8 +1027,6 @@ Daemon::runOne(QueuedJob job)
     result.telemetry.traceId = req.traceHint;
     result.telemetry.queueWaitMs = std::max(startMs - job.acceptMs, 0.0);
     result.telemetry.wallMs = endMs - startMs;
-    if (options_.onJobComplete)
-        options_.onJobComplete(job.prepared, result);
 
     bool drainCancelled;
     {

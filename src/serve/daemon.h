@@ -96,20 +96,6 @@ struct DaemonOptions
      */
     std::string policyPath;
     size_t maxLineBytes = LineReader::kDefaultMaxLineBytes;
-
-    /**
-     * Adaptive-tuner attachment points (the daemon does not link the
-     * tune library; rasengan_served wires a tune::Tuner in).  Both run
-     * on the WORKER thread, which executes jobs strictly serially --
-     * so onJobPrepared may additionally apply process-wide knobs
-     * (threads, fusion, SIMD ISA) for the job it is about to run, and
-     * onJobComplete observes the finished job's telemetry for
-     * measurement recording.  onJobPrepared may rewrite job.tuning and
-     * nothing else.
-     */
-    std::function<void(PreparedJob &)> onJobPrepared;
-    std::function<void(const PreparedJob &, const JobResult &)>
-        onJobComplete;
 };
 
 /** Monotonic counters snapshot (tests and /healthz debugging). */

@@ -27,8 +27,7 @@ const std::set<std::string> kKnownKeys = {
     "execution",  "noise",      "shots",      "transitions_per_segment",
     "simplify",   "prune",      "purify",     "shot_growth",
     "penalty_lambda", "layers", "fault_rate", "max_attempts",
-    "priority",   "deadline_ms", "timeout_ms", "tune",
-    "trace",
+    "priority",   "deadline_ms", "timeout_ms", "trace",
 };
 
 bool
@@ -180,7 +179,6 @@ parseRequest(const std::string &line)
     if (!getString(parsed.object, "priority", req.priority, err) ||
         !getNumber(parsed.object, "deadline_ms", req.deadlineMs, err) ||
         !getNumber(parsed.object, "timeout_ms", req.timeoutMs, err) ||
-        !getString(parsed.object, "tune", req.tuneHint, err) ||
         !getString(parsed.object, "trace", req.traceHint, err))
         return result;
 
@@ -223,10 +221,6 @@ writeRequest(const JobRequest &req)
         w.field("deadline_ms", req.deadlineMs);
     if (req.timeoutMs > 0.0)
         w.field("timeout_ms", req.timeoutMs);
-    // Tuning hint: result-invariant (never hashed), omitted when empty
-    // so untuned request files round-trip byte-identically.
-    if (!req.tuneHint.empty())
-        w.field("tune", req.tuneHint);
     // Trace hint: observability metadata (never hashed), omitted when
     // empty so untraced request files round-trip byte-identically.
     if (!req.traceHint.empty())
@@ -364,12 +358,6 @@ writeTelemetry(const JobResult &result)
         .field("plan_aborted", result.telemetry.planAborted)
         .field("plan_invalidated", result.telemetry.planInvalidated)
         .field("support_max", result.telemetry.supportMax);
-    if (!result.telemetry.tuneBucket.empty())
-        w.field("tune_bucket", result.telemetry.tuneBucket);
-    if (!result.telemetry.tuneDecision.empty())
-        w.field("tune_decision", result.telemetry.tuneDecision);
-    if (!result.telemetry.tuneSource.empty())
-        w.field("tune_source", result.telemetry.tuneSource);
     if (!result.telemetry.traceId.empty())
         w.field("trace_id", result.telemetry.traceId);
     return w.str();

@@ -83,23 +83,11 @@ struct JobRequest
     double timeoutMs = 0.0;  ///< per-job wall-clock cap; 0 = none
     /// @}
 
-    /// @name Adaptive-execution hint (cluster coordinator -> worker)
-    ///
-    /// A rendered tune::TuneDecision ("bucket=...;engine=dense;...").
-    /// Like the scheduling metadata it is EXCLUDED from
-    /// canonicalRequestText: every arm of every tuned knob is
-    /// result-invariant, so the hint shapes how a job runs, never what
-    /// it computes -- the child seed and result bytes cannot depend on
-    /// it.  Empty = no hint (local policy decides).
-    /// @{
-    std::string tuneHint;
-    /// @}
-
     /// @name Distributed-trace hint (cluster coordinator -> worker)
     ///
     /// The job's 32-hex 128-bit trace id, minted deterministically at
     /// admission, carried so worker spans stitch under the same trace.
-    /// Like tune/priority it is EXCLUDED from canonicalRequestText:
+    /// Like priority it is EXCLUDED from canonicalRequestText:
     /// tracing observes what a job does, never changes it, so the
     /// child seed and result bytes cannot depend on it.  Empty = mint
     /// locally at admission.
@@ -139,16 +127,9 @@ struct JobTelemetry
     uint64_t planInvalidated = 0;
     /// @}
 
-    /** Peak sparse-simulator support observed (support-growth summary
-     *  that feeds the adaptive tuner's measurement records). */
+    /** Peak sparse-simulator support observed (support-growth
+     *  summary). */
     uint64_t supportMax = 0;
-
-    /// @name Adaptive-execution decision (empty when tuning is off)
-    /// @{
-    std::string tuneBucket;
-    std::string tuneDecision; ///< renderArms() of the applied knobs
-    std::string tuneSource;   ///< default|explore:...|model|hint
-    /// @}
 
     /** Distributed trace id this job ran under ("" when untraced). */
     std::string traceId;

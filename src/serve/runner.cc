@@ -96,44 +96,6 @@ hashResult(const JobResult &r)
     return hex16(fnv1a64(s.str()));
 }
 
-/**
- * Parse a coordinator tune hint ("bucket=...;engine=dense;plans=off")
- * into per-job tuning fields.  Serve deliberately does not link the
- * tune library, so this accepts only the per-job keys the runner can
- * honor; unknown keys (threads/fusion/isa, applied process-wide by the
- * hint's SENDER) and malformed clauses are ignored -- a bad hint can
- * only cost performance, never correctness.
- */
-JobTuning
-parseTuneHint(const std::string &hint)
-{
-    JobTuning tuning;
-    tuning.source = "hint";
-    size_t pos = 0;
-    while (pos < hint.size()) {
-        size_t end = hint.find(';', pos);
-        if (end == std::string::npos)
-            end = hint.size();
-        const std::string clause = hint.substr(pos, end - pos);
-        pos = end + 1;
-        const size_t eq = clause.find('=');
-        if (eq == std::string::npos)
-            continue;
-        const std::string key = clause.substr(0, eq);
-        const std::string value = clause.substr(eq + 1);
-        if (key == "bucket")
-            tuning.bucket = value;
-        else if (key == "engine")
-            tuning.denseLookup = value == "dense";
-        else if (key == "plans")
-            tuning.cachePlans = value != "off";
-        else if (key == "source")
-            tuning.source = value;
-    }
-    tuning.decision = hint;
-    return tuning;
-}
-
 exec::ResilienceOptions
 makeResilience(const JobRequest &req, uint64_t child_seed,
                const exec::CancelToken *cancel)
@@ -216,10 +178,6 @@ JobRunner::prepare(const JobRequest &req) const
         fnv1a64(canonicalRequestText(req, out.job.canonicalProblem));
     out.job.childSeed = mixSeed(contentHash ^ options_.batchSeed);
     out.job.fingerprint = hex16(contentHash);
-    // The hint is NOT part of contentHash/childSeed (every tuned knob
-    // is result-invariant); it only pre-loads the job's tuning fields.
-    if (!req.tuneHint.empty())
-        out.job.tuning = parseTuneHint(req.tuneHint);
     out.ok = true;
     return out;
 }
@@ -254,9 +212,6 @@ JobRunner::run(const PreparedJob &job,
     result.telemetry.cacheSpplanHits = domain("spplan").hits;
     result.telemetry.cacheSpplanMisses = domain("spplan").misses;
     result.telemetry.priority = job.req.priority;
-    result.telemetry.tuneBucket = job.tuning.bucket;
-    result.telemetry.tuneDecision = job.tuning.decision;
-    result.telemetry.tuneSource = job.tuning.source;
     return result;
 }
 
@@ -277,11 +232,6 @@ JobRunner::solveRasengan(const PreparedJob &job,
     opts.shotsPerSegment = req.shots;
     opts.shotGrowth = req.shotGrowth;
     opts.noise = parseNoiseModel(req.noise);
-    // Adaptive-tuner per-job knobs; both are result-invariant (see
-    // RasenganOptions), so applying them here cannot change the bytes
-    // of the result line.
-    opts.denseIndexLookup = job.tuning.denseLookup;
-    opts.cacheRotationPlans = job.tuning.cachePlans;
     opts.resilience = makeResilience(req, job.childSeed, cancel);
     if (!options_.checkpointDir.empty())
         opts.checkpointPath = options_.checkpointDir + "/job-" +

@@ -67,10 +67,6 @@ BatchScheduler::submit(const JobRequest &req)
     slot.id = req.id;
     slot.costUnits = screened.costUnits;
     slot.accepted = true;
-    // Serial, submission-ordered: tuner decisions made here are a pure
-    // function of the request stream, independent of thread count.
-    if (options_.onJobPrepared)
-        options_.onJobPrepared(screened.prepared);
     // Every admitted job gets a trace id (forwarded hint wins --
     // cluster workers must stitch under the coordinator's id).
     // Minting is unconditional and deterministic, so telemetry lines

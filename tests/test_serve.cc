@@ -363,6 +363,10 @@ TEST(Jsonl, RequestParserRejectsUnknownKeysAndBadTypes)
                      .ok);
     EXPECT_FALSE(
         parseRequest("{\"benchmark\":\"F1\",\"iterations\":2.5}").ok);
+    RequestParseResult tune =
+        parseRequest("{\"benchmark\":\"F1\",\"tune\":\"bucket=x\"}");
+    EXPECT_FALSE(tune.ok);
+    EXPECT_EQ(tune.error, "unknown request key \"tune\"");
 }
 
 TEST(Jsonl, ValidateRequestCatchesBadEnumsAndRanges)
@@ -828,7 +832,7 @@ TEST(Jsonl, TraceHintRoundTripsAndStaysOffTheCanonicalText)
     ASSERT_TRUE(parsed.ok) << parsed.error;
     EXPECT_EQ(parsed.request.traceHint, req.traceHint);
 
-    // Like priority/tune, the trace id says WHO IS WATCHING a job, not
+    // Like priority, the trace id says WHO IS WATCHING a job, not
     // WHAT it computes: the canonical text (and therefore the child
     // seed and every result byte) must not see it.
     JobRequest bare = req;

@@ -32,19 +32,6 @@
  *   --fault SPEC            fault plan forwarded to one worker:
  *                           kill-after:N | disconnect-after:N
  *   --fault-worker W        which worker gets --fault (default 0)
- *   --tune MODE             adaptive execution: off|observe|auto
- *                           (default: RASENGAN_TUNE env, then off).
- *                           The coordinator decides per-job knob hints
- *                           at the serial submit point and ships them
- *                           with each placement; workers report
- *                           measurements back in batch_done and the
- *                           coordinator journals them for future runs.
- *                           Only result-invariant per-job knobs are
- *                           tuned, so merged results stay
- *                           byte-identical in every mode
- *   --tune-model FILE       cost-model journal (default:
- *                           RASENGAN_TUNE_MODEL env, then
- *                           rasengan_tune_model.jsonl)
  *   --simd ISA, --trace FILE, --metrics FILE, --flight SPEC
  *
  * Distributed tracing: with --trace the coordinator propagates a
@@ -88,7 +75,6 @@
 #include "serve/job.h"
 #include "serve/jsonl.h"
 #include "serve/workload.h"
-#include "tune_cli.h"
 
 using namespace rasengan;
 
@@ -120,8 +106,6 @@ struct Args
     std::string fault;
     long faultWorker = 0;
     std::string simd;
-    std::string tune;
-    std::string tuneModel;
     tools::ObsCliOptions obs;
     std::string traceSignature; ///< merged signature output path
 };
@@ -139,7 +123,6 @@ usage()
         "  [--cache-mb M] [--max-queue N] [--max-qubits N] "
         "[--max-shots N] [--max-cost UNITS]\n"
         "  [--max-placements N] [--fault SPEC] [--fault-worker W]\n"
-        "  [--tune off|observe|auto] [--tune-model FILE]\n"
         "  [--simd auto|avx2|neon|scalar] [--trace FILE] "
         "[--trace-signature FILE]\n"
         "  [--metrics FILE] [--flight on|off|N|PATH]\n"
@@ -200,10 +183,6 @@ parseArgs(int argc, char **argv, Args &args)
             args.fault = v;
         else if (flag == "--fault-worker" && (v = next()))
             args.faultWorker = std::strtol(v, nullptr, 10);
-        else if (flag == "--tune" && (v = next()))
-            args.tune = v;
-        else if (flag == "--tune-model" && (v = next()))
-            args.tuneModel = v;
         else if (flag == "--simd" && (v = next()))
             args.simd = v;
         else if (flag == "--trace" && (v = next()))
@@ -248,6 +227,10 @@ parseArgs(int argc, char **argv, Args &args)
     }
     if (args.maxPlacements < 1) {
         std::fprintf(stderr, "--max-placements must be >= 1\n");
+        return false;
+    }
+    if (args.cacheMb < 0) {
+        std::fprintf(stderr, "--cache-mb must be >= 0\n");
         return false;
     }
     exec::ProcessFaultParseResult fault =
@@ -478,12 +461,6 @@ main(int argc, char **argv)
 
     if (!tools::applySimdFlag(args.simd))
         return 1;
-    if (!tools::resolveTunerOptions(args.tune, args.tuneModel,
-                                    options.tune))
-        return 1;
-    tools::fillHostKnobs(options.tune);
-    // The coordinator forces processKnobs off itself; host knobs above
-    // only label the default arms in measurement records honestly.
     tools::obsCliStart(args.obs);
 
     cluster::Coordinator coordinator(options, std::move(workerFds));
@@ -557,20 +534,6 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(stats.cacheHits),
                  static_cast<unsigned long long>(stats.cacheMisses),
                  static_cast<unsigned long long>(stats.cacheEvictions));
-    if (coordinator.tuner().mode() != tune::TuneMode::Off) {
-        tune::Tuner::Stats ts = coordinator.tuner().stats();
-        std::fprintf(
-            stderr,
-            "cluster tune: mode %s, %llu decisions (%llu explore, "
-            "%llu model), %llu worker measurements absorbed "
-            "(%llu dropped)\n",
-            tune::tuneModeName(coordinator.tuner().mode()),
-            static_cast<unsigned long long>(ts.decisions),
-            static_cast<unsigned long long>(ts.explored),
-            static_cast<unsigned long long>(ts.exploited),
-            static_cast<unsigned long long>(ts.absorbed),
-            static_cast<unsigned long long>(ts.absorbDropped));
-    }
 
     // Reap fork-mode children (a faulted worker died by SIGKILL; that
     // is the experiment, not an error).

@@ -30,14 +30,6 @@
  *   --dump-workload      print the generated workload requests and exit
  *   --simd ISA           amplitude kernel ISA: auto|avx2|neon|scalar
  *                        (default: RASENGAN_SIMD env, then auto)
- *   --tune MODE          adaptive execution: off|observe|auto (default:
- *                        RASENGAN_TUNE env, then off).  Per-job
- *                        result-invariant knobs only -- batch jobs run
- *                        concurrently, so process-wide knobs (threads,
- *                        fusion, ISA) stay at their fixed defaults and
- *                        results are byte-identical in every mode
- *   --tune-model FILE    cost-model journal (default: RASENGAN_TUNE_MODEL
- *                        env, then rasengan_tune_model.jsonl)
  *   --trace FILE         write a Chrome trace-event JSON of the batch
  *   --metrics FILE       write the metrics registry; Prometheus text,
  *                        or flat JSON when FILE ends in .json
@@ -64,7 +56,6 @@
 #include "serve/jsonl.h"
 #include "serve/scheduler.h"
 #include "serve/workload.h"
-#include "tune_cli.h"
 
 using namespace rasengan;
 
@@ -95,8 +86,6 @@ struct Args
     double maxCost = -1.0;
     bool dumpWorkload = false;
     std::string simd;
-    std::string tune;
-    std::string tuneModel;
     tools::ObsCliOptions obs;
 };
 
@@ -112,7 +101,6 @@ usage()
                  "[--max-shots N]\n"
                  "  [--max-cost UNITS] [--dump-workload]\n"
                  "  [--simd auto|avx2|neon|scalar]\n"
-                 "  [--tune off|observe|auto] [--tune-model FILE]\n"
                  "  [--trace FILE] [--metrics FILE] "
                  "[--flight on|off|N|PATH]\n");
 }
@@ -152,10 +140,6 @@ parseArgs(int argc, char **argv, Args &args)
             args.maxCost = std::strtod(v, nullptr);
         else if (flag == "--simd" && (v = next()))
             args.simd = v;
-        else if (flag == "--tune" && (v = next()))
-            args.tune = v;
-        else if (flag == "--tune-model" && (v = next()))
-            args.tuneModel = v;
         else if (flag == "--trace" && (v = next()))
             args.obs.tracePath = v;
         else if (flag == "--metrics" && (v = next()))
@@ -267,37 +251,6 @@ main(int argc, char **argv)
         return 1;
     tools::obsCliStart(args.obs);
 
-    // Adaptive execution: the batch scheduler runs jobs CONCURRENTLY,
-    // so only per-job result-invariant knobs are tuned (processKnobs
-    // off collapses threads/fusion/ISA to their default arms).
-    // Decisions happen in the serial onJobPrepared hook, in submission
-    // order, so the decision sequence is reproducible; measurements are
-    // recorded from completion callbacks for FUTURE runs.
-    tune::TunerOptions tuneOpts;
-    if (!tools::resolveTunerOptions(args.tune, args.tuneModel, tuneOpts))
-        return 1;
-    tools::fillHostKnobs(tuneOpts);
-    tuneOpts.processKnobs = false;
-    tune::Tuner tuner(tuneOpts);
-    tuner.load();
-    if (tuner.mode() != tune::TuneMode::Off) {
-        options.onJobPrepared = [&tuner](serve::PreparedJob &job) {
-            tune::TuneDecision d =
-                tuner.decide(tune::fingerprintForJob(job));
-            job.tuning.denseLookup = d.denseLookup();
-            job.tuning.cachePlans = d.cachePlans();
-            job.tuning.bucket = d.bucket;
-            job.tuning.decision = tune::renderArms(d.arms);
-            job.tuning.source = d.source;
-        };
-        options.onJobComplete = [&tuner](size_t,
-                                         const serve::JobResult &result) {
-            tune::Measurement m;
-            if (tune::measurementForResult(result, &m))
-                tuner.record(m);
-        };
-    }
-
     serve::BatchScheduler scheduler(options);
     for (const auto &req : requests)
         scheduler.submit(req);
@@ -359,18 +312,6 @@ main(int argc, char **argv)
                  cache.entries);
     std::fprintf(stderr, "admission: %.3g cost units committed\n",
                  scheduler.admission().batchCostUnits());
-    if (tuner.mode() != tune::TuneMode::Off) {
-        tune::Tuner::Stats ts = tuner.stats();
-        std::fprintf(stderr,
-                     "tune: mode %s, %llu decisions (%llu explore, "
-                     "%llu model), %llu measurements -> %s\n",
-                     tune::tuneModeName(tuner.mode()),
-                     static_cast<unsigned long long>(ts.decisions),
-                     static_cast<unsigned long long>(ts.explored),
-                     static_cast<unsigned long long>(ts.exploited),
-                     static_cast<unsigned long long>(ts.recorded),
-                     tuner.options().modelPath.c_str());
-    }
 
     if (!tools::obsCliFinish(args.obs))
         return 1;

@@ -28,14 +28,8 @@
  *                    (load in Perfetto or chrome://tracing)
  *   --metrics PATH   write the metrics registry; Prometheus text, or
  *                    flat JSON when PATH ends in .json
- *   --tune MODE      adaptive execution: off|observe|auto (default:
- *                    RASENGAN_TUNE env, then off); auto picks
- *                    result-invariant knobs from the cost model
- *   --tune-model P   cost-model journal (default: RASENGAN_TUNE_MODEL
- *                    env, then rasengan_tune_model.jsonl)
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,7 +48,6 @@
 #include "problems/metrics.h"
 #include "problems/suite.h"
 #include "obs_cli.h"
-#include "tune_cli.h"
 
 using namespace rasengan;
 
@@ -77,8 +70,6 @@ struct Args
     std::string checkpoint;
     int threads = 0;
     std::string simd;
-    std::string tune;
-    std::string tuneModel;
     tools::ObsCliOptions obs;
 };
 
@@ -95,7 +86,6 @@ usage()
                  "  [--draw] [--qasm]\n"
                  "  [--faults RATE] [--retries N] [--checkpoint PATH]\n"
                  "  [--threads N] [--simd auto|avx2|neon|scalar]\n"
-                 "  [--tune off|observe|auto] [--tune-model PATH]\n"
                  "  [--trace PATH] [--metrics PATH] "
                  "[--flight on|off|N|PATH]\n");
 }
@@ -187,16 +177,6 @@ parseArgs(int argc, char **argv, Args &args)
             if (!v)
                 return false;
             args.simd = v;
-        } else if (flag == "--tune") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.tune = v;
-        } else if (flag == "--tune-model") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.tuneModel = v;
         } else if (flag == "--trace") {
             const char *v = next();
             if (!v)
@@ -263,8 +243,7 @@ parseNoise(const std::string &name)
 
 int
 runRasengan(const problems::Problem &problem, const Args &args,
-            opt::Method method, const qsim::NoiseModel &noise,
-            tune::Tuner &tuner)
+            opt::Method method, const qsim::NoiseModel &noise)
 {
     core::RasenganOptions options;
     options.maxIterations = args.iterations;
@@ -286,33 +265,6 @@ runRasengan(const problems::Problem &problem, const Args &args,
         options.execution = core::RasenganOptions::Execution::SampledSparse;
     }
 
-    // Adaptive execution: decide the result-invariant knobs for this
-    // solve.  The single solve is strictly serial, so process knobs
-    // (threads, fusion, ISA) may be applied too.
-    tune::TuneDecision decision;
-    if (tuner.mode() != tune::TuneMode::Off) {
-        tune::WorkloadFingerprint fp;
-        fp.numVars = problem.numVars();
-        fp.numConstraints = problem.numConstraints();
-        fp.algorithm = args.algorithm;
-        fp.execution =
-            options.execution == core::RasenganOptions::Execution::ExactSparse
-                ? "exact"
-            : options.execution ==
-                    core::RasenganOptions::Execution::SampledSparse
-                ? "sampled"
-                : "noisy";
-        fp.iterations = args.iterations;
-        fp.shots = options.shotsPerSegment;
-        decision = tuner.decide(fp);
-        tools::applyTuneDecision(decision);
-        options.denseIndexLookup = decision.denseLookup();
-        options.cacheRotationPlans = decision.cachePlans();
-        std::printf("tune: %s [%s] bucket %s\n",
-                    decision.source.c_str(),
-                    tune::renderArms(decision.arms).c_str(),
-                    decision.bucket.c_str());
-    }
     core::RasenganSolver solver(problem, options);
 
     std::printf("pipeline: %zu transitions, chain %zu (of %zu unpruned), "
@@ -333,21 +285,7 @@ runRasengan(const problems::Problem &problem, const Args &args,
             std::printf("\n%s\n", segment.toQasm().c_str());
     }
 
-    const auto tuneStart = std::chrono::steady_clock::now();
     core::RasenganResult res = solver.run();
-    if (tuner.mode() != tune::TuneMode::Off && !res.failed) {
-        tune::Measurement m;
-        m.bucket = decision.bucket;
-        m.arms = decision.arms;
-        m.wallMs = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - tuneStart)
-                       .count();
-        m.source = decision.source;
-        m.supportMax = solver.maxObservedSupport();
-        m.planRecorded = solver.planStats().recorded;
-        m.planReplayed = solver.planStats().replayed;
-        tuner.record(m);
-    }
     if (res.failed) {
         std::printf("run FAILED: purification removed every outcome "
                     "(noise too strong for the segment depth)\n");
@@ -510,19 +448,9 @@ main(int argc, char **argv)
                 qsim::simdIsaName(qsim::simdActiveIsa()),
                 args.iterations);
 
-    // Adaptive-execution tuner: host knobs are captured AFTER
-    // --threads/--simd applied, so the default arms reproduce the
-    // untuned configuration exactly.
-    tune::TunerOptions tuneOpts;
-    if (!tools::resolveTunerOptions(args.tune, args.tuneModel, tuneOpts))
-        return 1;
-    tools::fillHostKnobs(tuneOpts);
-    tune::Tuner tuner(tuneOpts);
-    tuner.load();
-
     int rc = -1;
     if (args.algorithm == "rasengan") {
-        rc = runRasengan(*problem, args, *method, *noise, tuner);
+        rc = runRasengan(*problem, args, *method, *noise);
     } else if (args.algorithm == "chocoq" || args.algorithm == "pqaoa" ||
                args.algorithm == "hea") {
         rc = runBaseline(*problem, args, *method, *noise);
