@@ -261,6 +261,20 @@ reachableClosure(const std::vector<TransitionHamiltonian> &vectors,
     return reached;
 }
 
+/** The first @p limit feasible states of @p problem, in DFS order. */
+std::vector<BitVec>
+feasibleUpTo(const problems::Problem &problem, size_t limit)
+{
+    const auto raw = linalg::enumerateBinary(problem.constraints(),
+                                             problem.bounds(), limit);
+    std::vector<BitVec> out(raw.size());
+    for (size_t k = 0; k < raw.size(); ++k)
+        for (size_t i = 0; i < raw[k].size(); ++i)
+            if (raw[k][i])
+                out[k].set(static_cast<int>(i));
+    return out;
+}
+
 } // namespace
 
 std::vector<linalg::IntVec>
@@ -269,11 +283,11 @@ transitionVectors(const problems::Problem &problem, bool simplify,
 {
     const auto original = homogeneousBasis(problem);
     auto basis = simplify ? simplifyBasis(original) : original;
-    if (!problem.enumerationEnabled()) {
-        // Connectivity cannot be verified without enumeration, and the
-        // simplified vectors alone can disconnect the walk (sparser
-        // vectors are dark on more states).  Keep the union: pruning
-        // later drops whichever copies do not expand.
+    // Connectivity cannot be verified without enumeration, and the
+    // simplified vectors alone can disconnect the walk (sparser vectors
+    // are dark on more states).  Keep the union: pruning later drops
+    // whichever copies do not expand.
+    auto withOriginals = [&] {
         if (simplify) {
             for (const auto &u : original) {
                 if (std::find(basis.begin(), basis.end(), u) == basis.end())
@@ -281,9 +295,16 @@ transitionVectors(const problems::Problem &problem, bool simplify,
             }
         }
         return basis;
-    }
-    const auto &feasible = problem.feasibleSolutions();
-    if (feasible.size() > max_feasible || feasible.size() <= 1)
+    };
+    if (!problem.enumerationEnabled())
+        return withOriginals();
+    // Enumerating one state past the limit decides the size without
+    // walking a huge feasible set; within the limit the DFS yields the
+    // whole set in feasibleSolutions() order.
+    const auto feasible = feasibleUpTo(problem, max_feasible + 1);
+    if (feasible.size() > max_feasible)
+        return withOriginals();
+    if (feasible.size() <= 1)
         return basis;
 
     RASENGAN_PROF("transition", "augment-connectivity");

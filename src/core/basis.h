@@ -52,8 +52,11 @@ int totalNonZeros(const std::vector<linalg::IntVec> &basis);
  * the feasible set is enumerable, this pass detects unreached states and
  * appends difference vectors u = x_g - x_p -- kernel vectors in
  * {-1,0,1}^n by construction, per Equation 3 -- until the walk covers
- * everything.  Non-enumerable (scalability) instances return the basis
- * unchanged.
+ * everything.  Non-enumerable (scalability) instances, and instances
+ * with more than @p max_feasible feasible states, skip augmentation;
+ * when @p simplify is set they keep the original basis vectors next to
+ * the simplified ones, since the simplified set alone can disconnect
+ * the walk.
  *
  * @param max_feasible skip augmentation when the feasible set is larger.
  */

@@ -420,11 +420,16 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
             // the sampled path's measurement stage.
             obs::Span sample_span("sample", "purify",
                                   "seg=" + std::to_string(s));
+            // One verdict per state: the feasible entries are kept in
+            // map order, so purification inserts them in the same order.
             double feasible_mass = 0.0, total_mass = 0.0;
+            std::vector<std::pair<BitVec, double>> feasible;
             for (const auto &[y, p] : out) {
                 total_mass += p;
-                if (problem_.isFeasible(y))
+                if (problem_.isFeasible(y)) {
                     feasible_mass += p;
+                    feasible.emplace_back(y, p);
+                }
             }
             result.prePurifyFeasibleFraction =
                 total_mass > 0.0 ? feasible_mass / total_mass : 0.0;
@@ -434,9 +439,8 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
                     return result;
                 }
                 ProbMap purified;
-                for (const auto &[y, p] : out)
-                    if (problem_.isFeasible(y))
-                        purified[y] = p / feasible_mass;
+                for (const auto &[y, p] : feasible)
+                    purified[y] = p / feasible_mass;
                 dist = std::move(purified);
             } else {
                 for (auto &[y, p] : out)
@@ -570,9 +574,13 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
         // can disable purification (NoPurification and below).
         const bool purify = options_.purify && !ex.purificationDisabled();
         uint64_t feasible_shots = 0;
-        for (const auto &[y, cnt] : raw.map())
-            if (problem_.isFeasible(y))
+        std::vector<std::pair<BitVec, uint64_t>> feasible;
+        for (const auto &[y, cnt] : raw.map()) {
+            if (problem_.isFeasible(y)) {
                 feasible_shots += cnt;
+                feasible.emplace_back(y, cnt);
+            }
+        }
         result.prePurifyFeasibleFraction =
             raw.total() > 0
                 ? static_cast<double>(feasible_shots) /
@@ -588,10 +596,7 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
                 result.failed = true;
                 return result;
             }
-            for (const auto &[y, cnt] : raw.map()) {
-                if (!problem_.isFeasible(y)) {
-                    continue;
-                }
+            for (const auto &[y, cnt] : feasible) {
                 uint64_t alloc = (cnt * next_shots + feasible_shots / 2) /
                                  feasible_shots;
                 if (alloc > 0)
@@ -727,10 +732,13 @@ RasenganSolver::summarize(const std::vector<double> &times,
     double expected = 0.0;
     double feasible_mass = 0.0;
     for (const auto &[y, p] : res.finalDistribution.entries) {
-        expected += p * problem_.penalizedObjective(y, lambda);
-        if (problem_.isFeasible(y)) {
+        // penalizedObjective's arithmetic, sharing one violation and one
+        // objective evaluation with the feasibility verdict.
+        const int64_t violation = problem_.violation(y);
+        const double obj = problem_.objective(y);
+        expected += p * (obj + lambda * static_cast<double>(violation));
+        if (violation == 0) {
             feasible_mass += p;
-            double obj = problem_.objective(y);
             if (!best || obj < best_obj) {
                 best = &y;
                 best_obj = obj;

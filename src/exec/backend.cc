@@ -16,18 +16,21 @@ validateCounts(const ShotJob &job, qsim::Counts counts)
                                         job.shots)};
     }
     if (job.numBits > 0) {
+        BitVec beyond; // bits numBits..127
+        for (int b = job.numBits; b < kMaxBits; ++b)
+            beyond.set(b);
         for (const auto &[outcome, n] : counts.map()) {
             (void)n;
-            for (int b = job.numBits; b < kMaxBits; ++b) {
-                if (outcome.get(b)) {
-                    return ExecError{
-                        ErrorCode::CorruptedCounts,
-                        detail::format(
-                            "{}: outcome sets bit {} beyond the "
-                            "{}-bit register",
-                            job.tag.c_str(), b, job.numBits)};
-                }
-            }
+            if ((outcome & beyond) == BitVec{})
+                continue;
+            int b = job.numBits;
+            while (!outcome.get(b))
+                ++b;
+            return ExecError{ErrorCode::CorruptedCounts,
+                             detail::format("{}: outcome sets bit {} beyond "
+                                            "the {}-bit register",
+                                            job.tag.c_str(), b,
+                                            job.numBits)};
         }
     }
     return counts;

@@ -1,5 +1,6 @@
 #include "problems/problem.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -20,29 +21,56 @@ Problem::Problem(std::string id, std::string family, linalg::IntMat c,
     fatal_if(objective_.numVars() != constraints_.cols(),
              "{}: objective over {} vars, constraints over {}", id_,
              objective_.numVars(), constraints_.cols());
+
+    rowStart_.reserve(constraints_.rows() + 1);
+    rowStart_.push_back(0);
+    for (int r = 0; r < constraints_.rows(); ++r) {
+        const size_t first = maskTerms_.size();
+        for (int col = 0; col < constraints_.cols(); ++col) {
+            const int64_t v = constraints_.at(r, col);
+            if (v == 0)
+                continue;
+            auto term = std::find_if(
+                maskTerms_.begin() + first, maskTerms_.end(),
+                [v](const MaskTerm &t) { return t.coeff == v; });
+            if (term == maskTerms_.end()) {
+                maskTerms_.push_back({BitVec{}, v});
+                term = maskTerms_.end() - 1;
+            }
+            term->mask.set(col);
+        }
+        rowStart_.push_back(maskTerms_.size());
+    }
+
     fatal_if(!isFeasible(trivial_),
              "{}: generator's trivial solution violates the constraints",
              id_);
 }
 
+int64_t
+Problem::rowActivity(size_t r, const BitVec &x) const
+{
+    int64_t acc = 0;
+    for (size_t k = rowStart_[r]; k < rowStart_[r + 1]; ++k)
+        acc += maskTerms_[k].coeff * (x & maskTerms_[k].mask).popcount();
+    return acc;
+}
+
 bool
 Problem::isFeasible(const BitVec &x) const
 {
-    return violation(x) == 0;
+    for (size_t r = 0; r < bvec_.size(); ++r)
+        if (rowActivity(r, x) != bvec_[r])
+            return false;
+    return true;
 }
 
 int64_t
 Problem::violation(const BitVec &x) const
 {
     int64_t total = 0;
-    const int n = numVars();
-    for (int r = 0; r < constraints_.rows(); ++r) {
-        int64_t acc = 0;
-        for (int col = 0; col < n; ++col)
-            if (x.get(col))
-                acc += constraints_.at(r, col);
-        total += std::abs(acc - bvec_[r]);
-    }
+    for (size_t r = 0; r < bvec_.size(); ++r)
+        total += std::abs(rowActivity(r, x) - bvec_[r]);
     return total;
 }
 

@@ -44,10 +44,20 @@ class Problem
     /** Objective value of assignment @p x (lower is better). */
     double objective(const BitVec &x) const { return objective_.eval(x); }
 
-    /** True iff C x = b. */
+    /**
+     * True iff C x = b.  Stops at the first unsatisfied row; the verdict
+     * equals violation(x) == 0.
+     */
     bool isFeasible(const BitVec &x) const;
 
-    /** L1 constraint violation ||C x - b||_1. */
+    /**
+     * L1 constraint violation ||C x - b||_1, computed from the
+     * coefficient-mask table: row r's activity is
+     * sum_v v * popcount(x & mask_{r,v}) over its distinct nonzero
+     * coefficients v, a few word operations per row instead of a loop
+     * over all n columns.  Bits of @p x at or above numVars() are
+     * ignored.
+     */
     int64_t violation(const BitVec &x) const;
 
     /**
@@ -100,12 +110,28 @@ class Problem
     bool enumerationEnabled() const { return enumerable_; }
 
   private:
+    /** Columns of one row that carry coefficient @c coeff. */
+    struct MaskTerm
+    {
+        BitVec mask;
+        int64_t coeff;
+    };
+
+    /** (C x)_r from row @p r's mask terms. */
+    int64_t rowActivity(size_t r, const BitVec &x) const;
+
     std::string id_;
     std::string family_;
     linalg::IntMat constraints_;
     linalg::IntVec bvec_;
     QuadraticObjective objective_;
     BitVec trivial_;
+    /**
+     * Row r's terms are maskTerms_[rowStart_[r] .. rowStart_[r + 1]),
+     * one per distinct nonzero coefficient in order of first column.
+     */
+    std::vector<MaskTerm> maskTerms_;
+    std::vector<size_t> rowStart_;
     bool enumerable_ = true;
     std::optional<double> exactOptimal_;
 

@@ -18,6 +18,7 @@
 #include "core/basis.h"
 #include "core/chain.h"
 #include "problems/builder.h"
+#include "problems/io.h"
 #include "problems/suite.h"
 
 namespace rasengan::core {
@@ -296,7 +297,10 @@ referenceTransitionVectors(const problems::Problem &problem, bool simplify,
     auto basis = homogeneousBasis(problem);
     if (simplify)
         basis = simplifyBasis(basis);
-    if (!problem.enumerationEnabled()) {
+    const auto *feasible = problem.enumerationEnabled()
+                               ? &problem.feasibleSolutions()
+                               : nullptr;
+    if (!feasible || feasible->size() > max_feasible) {
         if (simplify) {
             for (auto &u : homogeneousBasis(problem))
                 if (std::find(basis.begin(), basis.end(), u) == basis.end())
@@ -304,15 +308,14 @@ referenceTransitionVectors(const problems::Problem &problem, bool simplify,
         }
         return basis;
     }
-    const auto &feasible = problem.feasibleSolutions();
-    if (feasible.size() > max_feasible || feasible.size() <= 1)
+    if (feasible->size() <= 1)
         return basis;
 
     const BitVec &start = problem.trivialFeasible();
     auto transitions = makeTransitions(basis);
     auto reached = closureFromScratch(transitions, start);
     const int n = problem.numVars();
-    for (const BitVec &target : feasible) {
+    for (const BitVec &target : *feasible) {
         if (reached.count(target))
             continue;
         linalg::IntVec u(n);
@@ -478,6 +481,32 @@ TEST(ChainReference, ScalabilityTransitionVectorsMatchReference)
                 << p.id() << " simplify=" << simplify;
         }
     }
+}
+
+TEST(ChainReference, OverLimitParsedFlpKeepsOriginalVectors)
+{
+    // makeScalabilityFlp disables enumeration above 24 vars, but the
+    // problem text does not carry that flag, so the parsed copy takes
+    // the enumerable branch.  With more feasible states than
+    // max_feasible it must keep the original vectors exactly like the
+    // library instance, or the chain can collapse to a few steps.
+    const problems::Problem lib = problems::makeScalabilityFlp(27);
+    ASSERT_FALSE(lib.enumerationEnabled());
+    auto parsed = problems::parseProblem(problems::writeProblem(lib));
+    ASSERT_TRUE(parsed.problem.has_value()) << parsed.error;
+    const problems::Problem &p = *parsed.problem;
+    ASSERT_TRUE(p.enumerationEnabled());
+    const size_t limit = 16;
+    ASSERT_GT(p.feasibleCount(), limit);
+
+    auto reached = [](const problems::Problem &q, size_t max_feasible) {
+        auto transitions =
+            makeTransitions(transitionVectors(q, true, max_feasible));
+        return buildChain(transitions, q.trivialFeasible()).reachableCount;
+    };
+    EXPECT_GE(reached(p, limit), reached(lib, limit));
+    EXPECT_EQ(transitionVectors(p, true, limit),
+              referenceTransitionVectors(p, true, limit));
 }
 
 } // namespace

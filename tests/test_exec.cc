@@ -222,6 +222,88 @@ TEST(SimulatorBackendTest, SameSeedSameHistogram)
     EXPECT_EQ(a.value().map(), b.value().map());
 }
 
+// --------------------------------------------------------- validateCounts
+
+ShotJob
+registerJob(int num_bits, uint64_t shots)
+{
+    ShotJob job;
+    job.tag = "segment 4";
+    job.shots = shots;
+    job.numBits = num_bits;
+    return job;
+}
+
+/** One shot on each outcome whose set bits are listed. */
+qsim::Counts
+outcomes(const std::vector<std::vector<int>> &bit_lists)
+{
+    qsim::Counts counts;
+    for (const auto &bits : bit_lists) {
+        BitVec x;
+        for (int b : bits)
+            x.set(b);
+        counts.add(x, 1);
+    }
+    return counts;
+}
+
+TEST(ValidateCountsTest, AcceptsOutcomesInsideTheRegister)
+{
+    auto narrow = validateCounts(registerJob(5, 3),
+                                 outcomes({{}, {4}, {0, 1, 2, 3, 4}}));
+    ASSERT_TRUE(narrow.ok());
+    EXPECT_EQ(narrow.value().map(),
+              outcomes({{}, {4}, {0, 1, 2, 3, 4}}).map());
+
+    EXPECT_TRUE(validateCounts(registerJob(64, 2), outcomes({{63}, {0, 63}}))
+                    .ok());
+    // A full-width register has no bit beyond it.
+    EXPECT_TRUE(
+        validateCounts(registerJob(kMaxBits, 2), outcomes({{127}, {0, 64}}))
+            .ok());
+}
+
+TEST(ValidateCountsTest, RejectsBitsBeyondTheRegister)
+{
+    auto first = validateCounts(registerJob(5, 2), outcomes({{0}, {5}}));
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.error().code, ErrorCode::CorruptedCounts);
+    EXPECT_EQ(first.error().message,
+              "segment 4: outcome sets bit 5 beyond the 5-bit register");
+
+    auto top = validateCounts(registerJob(70, 1), outcomes({{1, 127}}));
+    ASSERT_FALSE(top.ok());
+    EXPECT_EQ(top.error().code, ErrorCode::CorruptedCounts);
+    EXPECT_EQ(top.error().message,
+              "segment 4: outcome sets bit 127 beyond the 70-bit register");
+}
+
+TEST(ValidateCountsTest, NamesTheLowestOutOfRangeBit)
+{
+    // Two offending bits in one outcome, in the same or different words.
+    auto same_word = validateCounts(registerJob(5, 1), outcomes({{9, 40}}));
+    ASSERT_FALSE(same_word.ok());
+    EXPECT_EQ(same_word.error().message,
+              "segment 4: outcome sets bit 9 beyond the 5-bit register");
+
+    auto split = validateCounts(registerJob(60, 1), outcomes({{64, 127}}));
+    ASSERT_FALSE(split.ok());
+    EXPECT_EQ(split.error().message,
+              "segment 4: outcome sets bit 64 beyond the 60-bit register");
+}
+
+TEST(ValidateCountsTest, ShortHistogramIsShotLoss)
+{
+    qsim::Counts counts;
+    counts.add(BitVec::fromIndex(3), 99);
+    auto short_hist = validateCounts(registerJob(2, 100), counts);
+    ASSERT_FALSE(short_hist.ok());
+    EXPECT_EQ(short_hist.error().code, ErrorCode::ShotLoss);
+    EXPECT_EQ(short_hist.error().message,
+              "segment 4: histogram has 99 of 100 shots");
+}
+
 // ----------------------------------------------------------------- Faults
 
 TEST(FaultInjectorTest, SeededStreamIsDeterministic)

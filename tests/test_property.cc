@@ -21,6 +21,7 @@
 #include "core/rasengan.h"
 #include "device/routing.h"
 #include "linalg/solve.h"
+#include "problems/builder.h"
 #include "problems/metrics.h"
 #include "problems/io.h"
 #include "problems/suite.h"
@@ -219,6 +220,130 @@ TEST_P(PropertySweep, PipelineOnPlantedRandomSystems)
     ASSERT_FALSE(res.failed) << "seed " << GetParam();
     EXPECT_TRUE(p.isFeasible(res.solution));
     EXPECT_LE(res.objectiveValue, p.worstFeasibleValue() + 1e-9);
+}
+
+TEST_P(PropertySweep, NoiseFreePurifiedOutputIsFeasible)
+{
+    // Purification keeps only C x = b states, so without noise every
+    // entry of the final distribution is feasible (Fig. 16's 100%), on
+    // the exact and the sampled path alike.
+    const int n = 8;
+    PlantedSystem sys = plantSystem(rng, n, 3);
+    problems::QuadraticObjective f(n);
+    for (int i = 0; i < n; ++i)
+        f.addLinear(i, static_cast<double>(rng.uniformInt(1, 9)));
+    f.addConstant(1.0);
+    problems::Problem p("planted-purify", "RAND", sys.c, sys.b, f, sys.x0);
+
+    using Execution = core::RasenganOptions::Execution;
+    for (Execution execution :
+         {Execution::ExactSparse, Execution::SampledSparse}) {
+        core::RasenganOptions options;
+        options.maxIterations = 20;
+        options.seed = GetParam();
+        options.execution = execution;
+        core::RasenganResult res = core::RasenganSolver(p, options).run();
+        ASSERT_FALSE(res.failed) << "seed " << GetParam();
+        ASSERT_FALSE(res.finalDistribution.entries.empty());
+        for (const auto &[x, prob] : res.finalDistribution.entries) {
+            EXPECT_TRUE(p.isFeasible(x))
+                << "seed " << GetParam() << " state " << x.toString(n);
+        }
+        EXPECT_NEAR(res.inConstraintsRate, 1.0, 1e-9);
+    }
+}
+
+/** ||C x - b||_1 by the dense rows x n loop over the matrix. */
+int64_t
+denseViolation(const problems::Problem &p, const BitVec &x)
+{
+    int64_t total = 0;
+    for (int r = 0; r < p.numConstraints(); ++r) {
+        int64_t acc = 0;
+        for (int col = 0; col < p.numVars(); ++col)
+            if (x.get(col))
+                acc += p.constraints().at(r, col);
+        total += std::abs(acc - p.bounds()[r]);
+    }
+    return total;
+}
+
+TEST_P(PropertySweep, ViolationMatchesDenseReference)
+{
+    // Random builder systems: equalities and <=/>= rows (binary slack
+    // with weights 1, 2, 4, ...), negative coefficients, variables in no
+    // row, and the last system wider than 64 variables so the masks span
+    // both BitVec words.
+    for (int trial = 0; trial < 4; ++trial) {
+        const int n = trial == 3 ? static_cast<int>(rng.uniformInt(65, 90))
+                                 : static_cast<int>(rng.uniformInt(2, 60));
+        BitVec x0;
+        for (int i = 0; i < n; ++i)
+            if (rng.bernoulli(0.5))
+                x0.set(i);
+        problems::ProblemBuilder builder("mask", "RAND", n);
+        builder.objectiveLinear(0, 1.0);
+        // Rows draw their terms from the first `active` variables only.
+        const int active = std::max(1, n - static_cast<int>(rng.index(4)));
+        const int rows = static_cast<int>(rng.uniformInt(1, 5));
+        for (int r = 0; r < rows; ++r) {
+            std::vector<problems::ProblemBuilder::Term> terms;
+            int64_t lhs = 0;
+            const int width = static_cast<int>(rng.uniformInt(1, 8));
+            for (int k = 0; k < width; ++k) {
+                const int var = static_cast<int>(rng.index(active));
+                int64_t coeff = rng.uniformInt(-3, 3);
+                if (coeff == 0)
+                    coeff = 1;
+                terms.emplace_back(var, coeff);
+                if (x0.get(var))
+                    lhs += coeff;
+            }
+            switch (rng.index(3)) {
+            case 0:
+                builder.addEquality(terms, lhs);
+                break;
+            case 1:
+                builder.addLessEqual(terms, lhs + rng.uniformInt(0, 3));
+                break;
+            default:
+                builder.addGreaterEqual(terms, lhs - rng.uniformInt(0, 3));
+                break;
+            }
+        }
+        const problems::Problem p = builder.build(x0);
+        const std::string where = "seed " + std::to_string(GetParam()) +
+                                  " trial " + std::to_string(trial) +
+                                  " vars " + std::to_string(p.numVars());
+        if (trial == 3) {
+            ASSERT_GT(p.numVars(), 64) << where;
+        }
+
+        auto expectMatch = [&](const BitVec &x) {
+            const int64_t dense = denseViolation(p, x);
+            ASSERT_EQ(p.violation(x), dense) << where << " x " <<
+                x.toString(kMaxBits);
+            ASSERT_EQ(p.isFeasible(x), dense == 0)
+                << where << " x " << x.toString(kMaxBits);
+        };
+        const BitVec &trivial = p.trivialFeasible();
+        ASSERT_EQ(denseViolation(p, trivial), 0) << where;
+        expectMatch(trivial);
+        for (int i = 0; i < p.numVars(); ++i) {
+            BitVec flipped = trivial;
+            flipped.flip(i);
+            expectMatch(flipped);
+        }
+        for (int k = 0; k < 64; ++k) {
+            // Bits at and above numVars() are set too: both sides
+            // ignore them.
+            BitVec x;
+            for (int i = 0; i < kMaxBits; ++i)
+                if (rng.bernoulli(0.5))
+                    x.set(i);
+            expectMatch(x);
+        }
+    }
 }
 
 TEST_P(PropertySweep, IsingMatchesRandomObjectives)
