@@ -55,14 +55,12 @@
 
 namespace rasengan::cluster {
 
-struct CoordinatorOptions
+/**
+ * threads and cacheBudgetBytes apply per worker; limits are the real
+ * admission limits -- screening happens here, never on workers.
+ */
+struct CoordinatorOptions : serve::ServiceOptions
 {
-    uint64_t batchSeed = 0;
-    /** Threads per worker (0 = each worker keeps its own config). */
-    int threads = 0;
-    uint64_t cacheBudgetBytes = 64ull << 20;
-    /** Real admission limits; screening happens here, never on workers. */
-    serve::AdmissionLimits limits;
     size_t maxFrameBytes = kDefaultMaxFrameBytes;
     /** Fault plan forwarded to worker @p faultWorker's hello (tests/CI). */
     std::string faultSpec;

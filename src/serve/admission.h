@@ -43,6 +43,25 @@ struct AdmissionLimits
 };
 
 /**
+ * The knobs every serving front end shares -- the batch scheduler, the
+ * daemon and the cluster coordinator embed this as their base, so each
+ * driver binds --threads, --batch-seed, --cache-mb and the --max-*
+ * limits once.
+ */
+struct ServiceOptions
+{
+    /** Simulation pool threads, applied once before jobs run; 0 keeps
+     *  the current (RASENGAN_THREADS / hardware) configuration. */
+    int threads = 0;
+    /** Mixed into every job's child seed; same batch seed + same
+     *  requests -> same results. */
+    uint64_t batchSeed = 0;
+    /** Artifact cache LRU budget in bytes; 0 disables caching. */
+    uint64_t cacheBudgetBytes = 64ull << 20;
+    AdmissionLimits limits;
+};
+
+/**
  * Coarse work estimate for @p req on a problem with @p num_vars
  * variables.  Exact execution pays the sparse-state footprint
  * (bounded by 2^n); shot-based execution pays shots; gate-level noisy

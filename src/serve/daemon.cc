@@ -498,14 +498,16 @@ Daemon::ioLoop()
             Conn &conn = conns_[i];
             if (pfd.fd != conn.fd)
                 continue; // conns_ changed under us; next poll catches up
+            // Read before honouring a hangup: a client may send its
+            // requests and close at once, and they still count.
+            if (pfd.revents & POLLIN)
+                readClient(conn);
             if (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) {
                 closeConn(i);
                 continue;
             }
             if (pfd.revents & POLLOUT)
                 flushConn(conn);
-            if (pfd.revents & POLLIN)
-                readClient(conn);
             if (conn.fd >= 0 && conn.closeAfterFlush &&
                 conn.outBuffer.empty())
                 closeConn(i);
@@ -985,11 +987,6 @@ Daemon::runOne(QueuedJob job)
     if (job.prepared.req.traceHint.empty())
         job.prepared.req.traceHint = traceIdForJob(job.prepared);
     const JobRequest &req = job.prepared.req;
-    {
-        std::lock_guard<std::mutex> lock(journalMutex_);
-        if (journal_.isOpen())
-            journal_.appendRunning(job.journalSeq, req.id);
-    }
 
     // Arm the cooperative deadline: the tighter of the remaining SLO
     // budget and the per-job timeout.  Replayed jobs run without one --

@@ -70,7 +70,7 @@
 
 namespace rasengan::serve {
 
-struct DaemonOptions
+struct DaemonOptions : ServiceOptions
 {
     /** "unix:PATH", "tcp:PORT", or "tcp:HOST:PORT" (loopback default;
      *  tcp:0 binds an ephemeral port, see Daemon::boundPort). */
@@ -81,11 +81,6 @@ struct DaemonOptions
     std::string resultsPath;
     /** Segment-checkpoint directory for drain/crash resume; "". */
     std::string checkpointDir;
-    uint64_t batchSeed = 0;
-    /** Simulation pool threads, applied once at start (0 = keep). */
-    int threads = 0;
-    uint64_t cacheBudgetBytes = 64ull << 20;
-    AdmissionLimits limits;
     SloPolicy slo;
     /**
      * Admission/SLO policy file (serve/policy format).  When set, the

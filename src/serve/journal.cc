@@ -72,11 +72,22 @@ Journal::open(const std::string &path, uint64_t next_seq,
               std::string *error)
 {
     panic_if(file_ != nullptr, "Journal::open called twice");
-    file_ = std::fopen(path.c_str(), "ab");
+    file_ = std::fopen(path.c_str(), "a+b");
     if (file_ == nullptr) {
         if (error != nullptr)
             *error = "cannot open journal " + path + " for append";
         return false;
+    }
+    // A crash can leave a torn final record with no newline.  End it
+    // here, or the next append would be glued onto it and both would
+    // replay as one malformed line.
+    const bool tornTail = std::fseek(file_, -1, SEEK_END) == 0 &&
+                          std::fgetc(file_) != '\n';
+    std::fseek(file_, 0, SEEK_END); // a read must not run into a write
+    if (tornTail) {
+        std::fputc('\n', file_);
+        std::fflush(file_);
+        ::fdatasync(fileno(file_));
     }
     path_ = path;
     nextSeq_ = next_seq;
@@ -112,15 +123,6 @@ Journal::appendAccepted(const JobRequest &req,
         .field("request", writeRequest(req));
     appendLine(w.str());
     return seq;
-}
-
-void
-Journal::appendRunning(uint64_t seq, const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    JsonWriter w;
-    w.field("type", "running").field("seq", seq).field("id", id);
-    appendLine(w.str());
 }
 
 void
@@ -245,7 +247,7 @@ Journal::replay(const std::string &path)
         }
         JournalJob &job = replay.jobs[it->second];
         if (*type == "running") {
-            job.started = true;
+            // Written by older daemons; carries no replay state.
         } else if (*type == "done") {
             const std::string *result = strField(obj, "result");
             if (result == nullptr) {

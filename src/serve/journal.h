@@ -4,8 +4,8 @@
  *
  * Every accepted request is appended -- with its content fingerprint
  * and the full request line -- before the daemon acknowledges it, and
- * every state transition (running, done, failed, shed) is appended as
- * it happens.  Appends are flushed and fdatasync'd per record, so after
+ * every terminal transition (done, failed, shed) is appended as it
+ * happens.  Appends are flushed and fdatasync'd per record, so after
  * a SIGKILL the journal is at worst missing (or tearing) its final
  * line.  Replay tolerates exactly that: malformed or truncated trailing
  * records are skipped and counted, never fatal.
@@ -22,7 +22,6 @@
  * "type" tag:
  *
  *   {"type":"accepted","seq":N,"id":...,"fingerprint":...,"request":R}
- *   {"type":"running","seq":N,"id":...}
  *   {"type":"done","seq":N,"id":...,"result":R}    (terminal)
  *   {"type":"shed","seq":N,"id":...,"code":...,"reason":...} (terminal)
  *
@@ -30,7 +29,9 @@
  * string -- flat JSON has no nesting, and escaping keeps the parser
  * honest.  `seq` is a per-journal monotonic sequence number; records
  * reference their accepted record by seq, so duplicate client ids
- * cannot cross wires.
+ * cannot cross wires.  Daemons before this format also appended a
+ * {"type":"running",...} record when a job started; replay accepts and
+ * ignores it, since a job with no terminal record re-runs either way.
  */
 
 #ifndef RASENGAN_SERVE_JOURNAL_H
@@ -53,7 +54,6 @@ struct JournalJob
     std::string id;
     std::string fingerprint;
     std::string requestLine; ///< writeRequest() bytes as accepted
-    bool started = false;    ///< a running record was seen
     bool done = false;       ///< terminal done record seen
     bool shed = false;       ///< terminal shed record seen
     std::string resultLine;  ///< writeResult() bytes when done
@@ -93,7 +93,10 @@ class Journal
     /**
      * Open @p path for appending (creating it if absent); @p next_seq
      * seeds the sequence counter (use JournalReplay::nextSeq when
-     * reopening an existing journal).  Returns false on I/O failure.
+     * reopening an existing journal).  A torn final record left by a
+     * crash is ended with a newline first, so it stays one malformed
+     * line instead of swallowing the next append.  Returns false on
+     * I/O failure.
      */
     bool open(const std::string &path, uint64_t next_seq = 1,
               std::string *error = nullptr);
@@ -105,7 +108,10 @@ class Journal
     uint64_t appendAccepted(const JobRequest &req,
                             const std::string &fingerprint);
 
-    void appendRunning(uint64_t seq, const std::string &id);
+    /** Writes nothing: a started job needs no record, because replay
+     *  re-runs every job without a terminal one.  Kept so callers that
+     *  mirror the old record sequence still compile. */
+    void appendRunning(uint64_t, const std::string &) {}
 
     /** Terminal: job finished (ok or failed); @p result_line is the
      *  deterministic writeResult() rendering. */

@@ -39,7 +39,7 @@ namespace rasengan::serve {
 
 struct RunnerOptions
 {
-    /** Mixed into every job's child seed (ServeOptions::batchSeed and
+    /** Mixed into every job's child seed (ServiceOptions::batchSeed and
      *  the daemon's --batch-seed share this meaning). */
     uint64_t batchSeed = 0;
     /** Directory for per-job segment checkpoints; "" disables them. */

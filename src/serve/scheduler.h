@@ -21,7 +21,7 @@
  *
  * Worker jobs run inside a pool task, therefore their solvers must not
  * reconfigure the pool: the runner forces resilience.threads = 0 on
- * every job and applies ServeOptions::threads once, before dispatch.
+ * every job and applies ServiceOptions::threads once, before dispatch.
  */
 
 #ifndef RASENGAN_SERVE_SCHEDULER_H
@@ -41,20 +41,8 @@
 
 namespace rasengan::serve {
 
-struct ServeOptions
+struct ServeOptions : ServiceOptions
 {
-    /**
-     * Worker threads for the batch (applied via
-     * parallel::setThreadCount before dispatch).  0 keeps the
-     * current/env-derived pool configuration.
-     */
-    int threads = 0;
-    /** Mixed into every job's child seed; same batch seed + same
-     *  requests -> same results. */
-    uint64_t batchSeed = 0;
-    /** Artifact cache LRU budget in bytes; 0 disables caching. */
-    uint64_t cacheBudgetBytes = 64ull << 20;
-    AdmissionLimits limits;
     /**
      * Cooperative stop flag (SIGTERM/SIGINT in the CLI).  When it
      * becomes true mid-batch, jobs already running finish normally;

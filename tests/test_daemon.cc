@@ -191,32 +191,49 @@ TEST(Journal, RoundTripsStatesAndFindsPendingJobs)
     uint64_t c = journal.appendAccepted(makeRequest("c"), "fp-c");
     uint64_t d = journal.appendAccepted(makeRequest("d"), "fp-d");
     EXPECT_EQ(a, 1u);
+    EXPECT_EQ(b, 2u);
     EXPECT_EQ(d, 4u);
-    journal.appendRunning(a, "a");
     journal.appendDone(a, "a", "{\"id\":\"a\",\"ok\":true}");
-    journal.appendRunning(b, "b"); // crashed mid-run: no terminal
     journal.appendShed(c, "c", "deadline-unmeetable", "too late");
     journal.close();
 
-    JournalReplay replay = Journal::replay(path);
-    ASSERT_TRUE(replay.ok) << replay.error;
-    ASSERT_EQ(replay.jobs.size(), 4u);
-    EXPECT_EQ(replay.nextSeq, 5u);
-    EXPECT_EQ(replay.malformedLines, 0u);
+    // Older daemons also journaled a running record per started job (b
+    // crashed mid-run).  Replay must read such a journal the same way
+    // and not count those records as malformed.
+    const std::string oldFormat = path + ".old";
+    {
+        std::ifstream in(path);
+        std::ofstream out(oldFormat);
+        std::string line;
+        for (int n = 1; std::getline(in, line); ++n) {
+            out << line << "\n";
+            if (n == 4) // after the four accepted records
+                out << "{\"type\":\"running\",\"seq\":1,\"id\":\"a\"}\n"
+                    << "{\"type\":\"running\",\"seq\":2,\"id\":\"b\"}\n";
+        }
+    }
 
-    EXPECT_TRUE(replay.jobs[0].done);
-    EXPECT_EQ(replay.jobs[0].resultLine, "{\"id\":\"a\",\"ok\":true}");
-    EXPECT_TRUE(replay.jobs[1].started);
-    EXPECT_FALSE(replay.jobs[1].done);
-    EXPECT_TRUE(replay.jobs[2].shed);
-    EXPECT_EQ(replay.jobs[3].fingerprint, "fp-d");
+    for (const std::string &input : {path, oldFormat}) {
+        SCOPED_TRACE(input);
+        JournalReplay replay = Journal::replay(input);
+        ASSERT_TRUE(replay.ok) << replay.error;
+        ASSERT_EQ(replay.jobs.size(), 4u);
+        EXPECT_EQ(replay.nextSeq, 5u);
+        EXPECT_EQ(replay.malformedLines, 0u);
 
-    // Pending = no terminal record: the mid-run crash victim and the
-    // never-started job, in accepted order.
-    std::vector<const JournalJob *> pending = replay.pending();
-    ASSERT_EQ(pending.size(), 2u);
-    EXPECT_EQ(pending[0]->id, "b");
-    EXPECT_EQ(pending[1]->id, "d");
+        EXPECT_TRUE(replay.jobs[0].done);
+        EXPECT_EQ(replay.jobs[0].resultLine, "{\"id\":\"a\",\"ok\":true}");
+        EXPECT_FALSE(replay.jobs[1].done);
+        EXPECT_TRUE(replay.jobs[2].shed);
+        EXPECT_EQ(replay.jobs[3].fingerprint, "fp-d");
+
+        // Pending = no terminal record: the mid-run crash victim and the
+        // never-started job, in accepted order.
+        std::vector<const JournalJob *> pending = replay.pending();
+        ASSERT_EQ(pending.size(), 2u);
+        EXPECT_EQ(pending[0]->id, "b");
+        EXPECT_EQ(pending[1]->id, "d");
+    }
 }
 
 TEST(Journal, ReplayToleratesCrashDebris)
@@ -246,6 +263,19 @@ TEST(Journal, ReplayToleratesCrashDebris)
     // harmless, reusing a seq that appears anywhere in the file is not.
     EXPECT_EQ(replay.nextSeq, 100u);
     EXPECT_EQ(replay.pending().size(), 1u);
+
+    // A restarted daemon appends after the torn record; the append must
+    // land on a line of its own.
+    ASSERT_TRUE(journal.open(path, replay.nextSeq, nullptr));
+    journal.appendDone(1, "ok", "{\"id\":\"ok\",\"ok\":true}");
+    journal.close();
+    JournalReplay restarted = Journal::replay(path);
+    ASSERT_TRUE(restarted.ok) << restarted.error;
+    ASSERT_EQ(restarted.jobs.size(), 1u);
+    EXPECT_TRUE(restarted.jobs[0].done);
+    EXPECT_EQ(restarted.malformedLines, 3u); // the torn record, now ended
+    EXPECT_EQ(restarted.truncatedLines, 0u);
+    EXPECT_TRUE(restarted.pending().empty());
 }
 
 TEST(Journal, MissingFileIsACleanColdStart)
@@ -320,9 +350,17 @@ TEST(Daemon, ServesJobsAndProbesOverAUnixSocket)
     std::string prom = metrics.httpGet("/metrics");
     EXPECT_NE(prom.find("serve_daemon_queue_depth"), std::string::npos);
 
+    // A client may send and hang up at once (the daemon then sees data
+    // and the hangup in one poll): its request still runs.
+    {
+        UnixClient oneShot(dir + "/d.sock");
+        ASSERT_TRUE(oneShot.sendLine(writeRequest(makeRequest("sock-2"))));
+    }
+    EXPECT_TRUE(waitFor([&] { return daemon.stats().completed >= 2; }));
+
     daemon.stop();
     DaemonStats stats = daemon.stats();
-    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.completed, 2u);
     EXPECT_EQ(stats.rejected, 1u);
 }
 
@@ -393,10 +431,8 @@ TEST(Daemon, ReplayAfterCrashReproducesResultsByteForByte)
         Journal journal;
         ASSERT_TRUE(journal.open(wal, 1, nullptr));
         uint64_t s1 = journal.appendAccepted(requests[0], "fp-1");
-        journal.appendRunning(s1, "r-1");
         journal.appendDone(s1, "r-1", reference["r-1"]);
-        uint64_t s2 = journal.appendAccepted(requests[1], "fp-2");
-        journal.appendRunning(s2, "r-2");
+        journal.appendAccepted(requests[1], "fp-2");
         journal.appendAccepted(requests[2], "fp-3");
         journal.close();
         std::FILE *f = std::fopen(wal.c_str(), "ab");

@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared --trace/--metrics/--simd/--flight plumbing for the CLI tools.
+ * Shared --trace/--metrics/--simd/--flight plumbing for the CLI tools
+ * (the flags themselves are tools::obsOptions() in drivers.h).
  *
  * Usage: call obsCliStart() once flags are parsed (enables tracing when
  * a trace path was given, configures the flight recorder from --flight
@@ -31,13 +32,13 @@ namespace rasengan::tools {
 
 struct ObsCliOptions
 {
+    /** --simd ISA; "" leaves the RASENGAN_SIMD / auto default. */
+    std::string simd;
     std::string tracePath;
     std::string metricsPath;
     /** --flight value: on|off|N (ring entries)|/dump/path; "" falls
-     *  back to RASENGAN_FLIGHT, then to flightDefaultOn. */
+     *  back to RASENGAN_FLIGHT, then off. */
     std::string flightSpec;
-    /** Daemon-shaped tools keep the recorder on by default. */
-    bool flightDefaultOn = false;
 };
 
 /**
@@ -67,9 +68,9 @@ obsCliStart(const ObsCliOptions &opts)
     const char *isa = qsim::simdIsaName(qsim::simdActiveIsa());
     const bool flight =
         opts.flightSpec.empty()
-            ? obs::flight::configureFromEnv(opts.flightDefaultOn)
+            ? obs::flight::configureFromEnv(/*defaultOn=*/false)
             : obs::flight::configureFromSpec(opts.flightSpec,
-                                             opts.flightDefaultOn);
+                                             /*defaultOn=*/false);
     if (flight)
         obs::flight::installSignalHandlers();
     if (!opts.tracePath.empty()) {

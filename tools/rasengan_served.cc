@@ -20,46 +20,20 @@
  * compacts the journal in place and, with --policy, re-reads the
  * admission/SLO policy file.
  *
- * Usage:
- *   rasengan_served --listen unix:/tmp/rasengan.sock [options]
- *   rasengan_served --listen tcp:7733 [options]
- *
- * Options:
- *   --journal FILE       write-ahead job journal (crash recovery)
- *   --results FILE       append every result line (audit mirror)
- *   --checkpoint-dir DIR segment checkpoints for drain/crash resume
- *   --policy FILE        admission/SLO policy file (serve/policy flat
- *                        JSON); loaded at start, re-read on SIGHUP
- *   --threads N          simulation pool threads (0 = current config)
- *   --batch-seed S       mixed into every job's child seed (default 0)
- *   --cache-mb M         artifact cache budget in MiB (default 64)
- *   --max-queue N        admission: max queued jobs
- *   --max-qubits N       admission: max problem variables
- *   --max-shots N        admission: max shots per job
- *   --max-cost UNITS     admission: per-job cost ceiling
- *   --cost-rate R        SLO: worker throughput in cost units/second
- *                        (calibrates the deadline-miss predictor)
- *   --shed-margin F      SLO: fraction of a deadline kept as safety
- *                        margin before shedding (default 0.1)
- *   --simd ISA           amplitude kernel ISA: auto|avx2|neon|scalar
- *                        (default: RASENGAN_SIMD env, then auto); the
- *                        active ISA is logged at startup and exported
- *                        as the simd_isa_info gauge on /metrics.json
- *   --flight SPEC        flight recorder: on|off|N (ring entries)|
- *                        /dump/path (default: RASENGAN_FLIGHT env, then
- *                        ON -- the daemon always keeps a flight ring).
- *                        SIGQUIT dumps the ring and keeps serving; the
- *                        live ring is at GET /debug/flight
+ * The daemon always keeps a flight-recorder ring (--flight, default
+ * RASENGAN_FLIGHT then on): SIGQUIT dumps it and keeps serving, and
+ * GET /debug/flight returns it live.  The active SIMD ISA is logged at
+ * startup and exported as the simd_isa_info gauge.  Run it with no
+ * arguments for the option list.
  *
  * Exit status: 0 after a clean drain, 1 on startup failure.
  */
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "drivers.h"
 #include "obs/flight.h"
 #include "qsim/simd.h"
 #include "serve/daemon.h"
@@ -77,109 +51,32 @@ onSignal(int sig)
         g_daemon->notifySignal(sig); // one async-signal-safe write(2)
 }
 
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: rasengan_served --listen (unix:PATH | tcp:[HOST:]PORT)\n"
-        "  [--journal FILE] [--results FILE] [--checkpoint-dir DIR]\n"
-        "  [--policy FILE]\n"
-        "  [--threads N] [--batch-seed S] [--cache-mb M]\n"
-        "  [--max-queue N] [--max-qubits N] [--max-shots N] "
-        "[--max-cost UNITS]\n"
-        "  [--cost-rate UNITS_PER_S] [--shed-margin FRACTION]\n"
-        "  [--simd auto|avx2|neon|scalar]\n"
-        "  [--flight on|off|N|PATH]\n");
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    serve::DaemonOptions options;
-    options.listen.clear();
-    long cacheMb = 64;
-    std::string simdSpec;
-    std::string flightSpec;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *v = nullptr;
-        if (flag == "--listen" && (v = next()))
-            options.listen = v;
-        else if (flag == "--journal" && (v = next()))
-            options.journalPath = v;
-        else if (flag == "--results" && (v = next()))
-            options.resultsPath = v;
-        else if (flag == "--checkpoint-dir" && (v = next()))
-            options.checkpointDir = v;
-        else if (flag == "--policy" && (v = next()))
-            options.policyPath = v;
-        else if (flag == "--threads" && (v = next()))
-            options.threads =
-                static_cast<int>(std::strtol(v, nullptr, 10));
-        else if (flag == "--batch-seed" && (v = next()))
-            options.batchSeed = std::strtoull(v, nullptr, 10);
-        else if (flag == "--cache-mb" && (v = next()))
-            cacheMb = std::strtol(v, nullptr, 10);
-        else if (flag == "--max-queue" && (v = next()))
-            options.limits.maxQueuedJobs =
-                static_cast<size_t>(std::strtol(v, nullptr, 10));
-        else if (flag == "--max-qubits" && (v = next()))
-            options.limits.maxQubits =
-                static_cast<int>(std::strtol(v, nullptr, 10));
-        else if (flag == "--max-shots" && (v = next()))
-            options.limits.maxShotsPerJob =
-                std::strtoull(v, nullptr, 10);
-        else if (flag == "--max-cost" && (v = next()))
-            options.limits.maxJobCostUnits = std::strtod(v, nullptr);
-        else if (flag == "--cost-rate" && (v = next()))
-            options.slo.costUnitsPerSecond = std::strtod(v, nullptr);
-        else if (flag == "--shed-margin" && (v = next()))
-            options.slo.shedMargin = std::strtod(v, nullptr);
-        else if (flag == "--simd" && (v = next()))
-            simdSpec = v;
-        else if (flag == "--flight" && (v = next()))
-            flightSpec = v;
-        else {
-            std::fprintf(stderr, "unknown or incomplete flag: %s\n",
-                         flag.c_str());
-            usage();
-            return 1;
-        }
-    }
+    tools::ServedArgs args;
+    const tools::CommandLine cli = tools::servedCommandLine(args);
+    tools::parseOrExit(cli, argc, argv);
+    const serve::DaemonOptions &options = args.daemon;
     if (options.listen.empty()) {
-        usage();
+        tools::printUsageError(cli, "--listen is required");
         return 1;
     }
-    if (cacheMb < 0) {
-        std::fprintf(stderr, "--cache-mb must be >= 0\n");
-        return 1;
-    }
-    options.cacheBudgetBytes = static_cast<uint64_t>(cacheMb) << 20;
 
     // Pin the amplitude kernel tier before the daemon starts serving:
     // this also registers the simd_isa_info gauge, so the very first
     // /metrics.json probe already reports the active ISA.
-    if (!simdSpec.empty()) {
-        std::string simdError;
-        if (!qsim::selectSimdIsa(simdSpec, &simdError)) {
-            std::fprintf(stderr, "rasengan_served: --simd: %s\n",
-                         simdError.c_str());
-            return 1;
-        }
-    }
+    if (!tools::applySimdFlag(args.obs.simd))
+        return 1;
     const char *simdIsa = qsim::simdIsaName(qsim::simdActiveIsa());
 
     // An explicit --flight decision sticks: Daemon::start() applies the
     // env/default-ON convention only when nothing was decided here.
-    if (!flightSpec.empty())
-        obs::flight::configureFromSpec(flightSpec, /*defaultOn=*/true);
+    if (!args.obs.flightSpec.empty())
+        obs::flight::configureFromSpec(args.obs.flightSpec,
+                                       /*defaultOn=*/true);
 
     serve::Daemon daemon(options);
     std::string error;
