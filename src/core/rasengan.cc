@@ -105,6 +105,7 @@ RasenganSolver::RasenganSolver(problems::Problem problem,
         chain_ = std::move(artifacts.chain);
         segments_ = std::move(artifacts.segments);
     }
+    planCache_.resize(segments_.size());
 }
 
 qsim::SparseState
@@ -149,64 +150,23 @@ RasenganSolver::evolveSegment(int seg_index, const BitVec &init,
     if (!options_.cacheRotationPlans)
         return direct(nullptr);
 
-    if (segmentStructures_.empty())
-        segmentStructures_.resize(segments_.size());
-    std::vector<std::pair<BitVec, BitVec>> &structure =
-        segmentStructures_[seg_index];
-    if (structure.empty()) {
-        structure.reserve(seg.stepCount);
-        for (int k = 0; k < seg.stepCount; ++k) {
-            const TransitionHamiltonian &tau =
-                transitions_[chain_.steps[seg.firstStep + k]];
-            structure.emplace_back(tau.mask(), tau.patternPlus());
+    auto [it, inserted] = planCache_[seg_index].try_emplace(init);
+    qsim::SparseSegmentPlan &plan = it->second;
+    if (inserted) {
+        plan.numQubits = n;
+        plan.steps.reserve(seg.stepCount);
+        qsim::SparseState sim = direct(&plan);
+        ++planStats_.recorded;
+        planCounters().recorded.inc();
+        if (!plan.replayable) {
+            ++planStats_.invalidated;
+            planCounters().invalidated.inc();
         }
-    }
-    const uint64_t fp = qsim::planStructureFingerprint(n, init, structure);
-
-    std::shared_ptr<const qsim::SparseSegmentPlan> plan;
-    if (auto it = planCache_.find(fp); it != planCache_.end()) {
-        plan = it->second;
-    } else {
-        auto record = [&]() {
-            auto fresh = std::make_shared<qsim::SparseSegmentPlan>();
-            fresh->numQubits = n;
-            fresh->initial = init;
-            fresh->steps.reserve(seg.stepCount);
-            qsim::SparseState sim = direct(fresh.get());
-            ++planStats_.recorded;
-            planCounters().recorded.inc();
-            if (!fresh->replayable) {
-                ++planStats_.invalidated;
-                planCounters().invalidated.inc();
-            }
-            planCache_.emplace(fp, fresh);
-            return std::pair{std::move(fresh), std::move(sim)};
-        };
-        if (options_.planStore) {
-            // Cross-job path: the store may already hold a plan recorded
-            // by another solver.  Recording runs lazily inside the
-            // store's getOrCompute, so a store hit skips the direct
-            // execution entirely (the replay below reproduces the
-            // state bit-identically).
-            std::optional<qsim::SparseState> recorded_sim;
-            plan = options_.planStore(fp, [&]() {
-                auto [fresh, sim] = record();
-                recorded_sim.emplace(std::move(sim));
-                return std::shared_ptr<const qsim::SparseSegmentPlan>(
-                    std::move(fresh));
-            });
-            planCache_[fp] = plan;
-            if (recorded_sim.has_value())
-                return std::move(*recorded_sim);
-        } else {
-            auto [fresh, sim] = record();
-            return sim;
-        }
+        return sim;
     }
 
-    if (plan && plan->replayable) {
-        auto replayed =
-            qsim::replaySegmentPlan(*plan, seg_times, threshold);
+    if (plan.replayable) {
+        auto replayed = qsim::replaySegmentPlan(plan, seg_times, threshold);
         if (replayed.has_value()) {
             ++planStats_.replayed;
             planCounters().replayed.inc();

@@ -143,20 +143,6 @@ struct RasenganOptions
     std::function<circuit::Circuit(const circuit::Circuit &,
                                    const circuit::TranspileOptions &)>
         lowerCircuit;
-    /**
-     * Optional cross-job rotation-plan store: when set, evolveSegment
-     * resolves recorded segment plans through this hook (the serve layer
-     * points it at its content-addressed ArtifactCache under the
-     * "spplan" domain) instead of only the solver-local memo.  Keyed by
-     * planStructureFingerprint, so two jobs solving the same problem
-     * share partner-index plans.  Purely a performance hint: results
-     * are bit-identical with or without it.
-     */
-    std::function<std::shared_ptr<const qsim::SparseSegmentPlan>(
-        uint64_t fingerprint,
-        const std::function<
-            std::shared_ptr<const qsim::SparseSegmentPlan>()> &make)>
-        planStore;
     /// @}
 
     /// @name Resilience (src/exec)
@@ -365,21 +351,18 @@ class RasenganSolver
     std::unique_ptr<exec::ResilientExecutor> executor_;
     mutable std::vector<double> segmentSeconds_; ///< latency cache
     /**
-     * Solver-local rotation-plan memo keyed by structural fingerprint.
-     * Like executor_, this is per-solver mutable state: a solver
-     * instance is driven from one thread at a time (the serve layer
-     * builds one solver per job), so no synchronization is needed.
-     * An entry may be marked !replayable; it is kept to suppress
+     * Rotation-plan memo: one map per segment, keyed by the segment's
+     * input basis state.  Like executor_, this is per-solver mutable
+     * state: a solver instance is driven from one thread at a time (the
+     * serve layer builds one solver per job), so no synchronization is
+     * needed.  An entry may be !replayable; it is kept to suppress
      * repeated recording attempts.
      */
-    mutable std::unordered_map<uint64_t,
-                               std::shared_ptr<const qsim::SparseSegmentPlan>>
+    mutable std::vector<
+        std::unordered_map<BitVec, qsim::SparseSegmentPlan, BitVecHash>>
         planCache_;
     mutable PlanStats planStats_;
     mutable uint64_t maxObservedSupport_ = 0;
-    /** Lazily built per-segment (mask, pattern) lists for fingerprints. */
-    mutable std::vector<std::vector<std::pair<BitVec, BitVec>>>
-        segmentStructures_;
 };
 
 } // namespace rasengan::core

@@ -15,19 +15,6 @@ constexpr std::complex<double> kI{0.0, 1.0};
 
 } // namespace
 
-uint64_t
-SparseSegmentPlan::approxBytes() const
-{
-    uint64_t bytes = sizeof(SparseSegmentPlan);
-    for (const SparseStepPlan &s : steps) {
-        bytes += s.scatter.capacity() * sizeof(uint32_t);
-        bytes += s.pairs.capacity() * sizeof(std::pair<uint32_t, uint32_t>);
-        bytes += sizeof(SparseStepPlan);
-    }
-    bytes += finalKeys.capacity() * sizeof(BitVec);
-    return bytes;
-}
-
 std::optional<SparseState>
 replaySegmentPlan(const SparseSegmentPlan &plan, const double *times,
                   double prune_threshold)
@@ -85,33 +72,6 @@ replaySegmentPlan(const SparseSegmentPlan &plan, const double *times,
              cur.size(), plan.finalKeys.size());
     return SparseState::fromSorted(plan.numQubits,
                                    plan.finalKeys, std::move(cur));
-}
-
-uint64_t
-planStructureFingerprint(int num_qubits, const BitVec &initial,
-                         const std::vector<std::pair<BitVec, BitVec>> &steps)
-{
-    constexpr uint64_t kOffset = 0xcbf29ce484222325ull;
-    constexpr uint64_t kPrime = 0x100000001b3ull;
-    uint64_t h = kOffset;
-    auto mix64 = [&h](uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= kPrime;
-        }
-    };
-    auto mix_bits = [&](const BitVec &v) {
-        mix64(v.low64());
-        mix64(v.high64());
-    };
-    mix64(static_cast<uint64_t>(num_qubits));
-    mix_bits(initial);
-    mix64(steps.size());
-    for (const auto &[mask, pattern] : steps) {
-        mix_bits(mask);
-        mix_bits(pattern);
-    }
-    return h;
 }
 
 } // namespace rasengan::qsim

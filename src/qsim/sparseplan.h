@@ -24,9 +24,10 @@
  *  - replaySegmentPlan() re-checks the caller's prune threshold after
  *    every step and *aborts* (returns nullopt) the moment any amplitude
  *    falls below it, because the direct path would have pruned there.
- *    The caller falls back to direct execution and invalidates the
- *    plan, so planned and unplanned execution always produce identical
- *    results.
+ *    The caller falls back to direct execution for these angles and
+ *    keeps the plan (it counts an abort: other angle vectors may still
+ *    replay it), so planned and unplanned execution always produce
+ *    identical results.
  */
 
 #ifndef RASENGAN_QSIM_SPARSEPLAN_H
@@ -58,11 +59,11 @@ struct SparseStepPlan
     std::vector<std::pair<uint32_t, uint32_t>> pairs;
 };
 
-/** Angle-independent replay recipe for one segment + initial state. */
+/** Angle-independent replay recipe for one segment + initial state
+ *  (the state itself is the key the caller files the plan under). */
 struct SparseSegmentPlan
 {
     int numQubits = 0;
-    BitVec initial;
     /**
      * False when the recording run pruned mid-segment: the structure
      * was angle-dependent for the recording angles, so the plan only
@@ -72,9 +73,6 @@ struct SparseSegmentPlan
     std::vector<SparseStepPlan> steps;
     /** Support after the last step, strictly ascending. */
     std::vector<BitVec> finalKeys;
-
-    /** Rough heap footprint, for ArtifactCache byte accounting. */
-    uint64_t approxBytes() const;
 };
 
 /**
@@ -89,15 +87,6 @@ std::optional<SparseState>
 replaySegmentPlan(const SparseSegmentPlan &plan, const double *times,
                   double prune_threshold =
                       SparseState::kDefaultPruneThreshold);
-
-/**
- * FNV-1a fingerprint of the angle-independent inputs of a plan: qubit
- * count, initial basis state, and the (mask, pattern) of every step.
- * Used as the content-address of plans shared across solves.
- */
-uint64_t
-planStructureFingerprint(int num_qubits, const BitVec &initial,
-                         const std::vector<std::pair<BitVec, BitVec>> &steps);
 
 } // namespace rasengan::qsim
 

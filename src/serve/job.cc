@@ -350,9 +350,7 @@ writeTelemetry(const JobResult &result)
     w.field("cache_pipeline_hits", result.telemetry.cachePipelineHits)
         .field("cache_pipeline_misses", result.telemetry.cachePipelineMisses)
         .field("cache_circuit_hits", result.telemetry.cacheCircuitHits)
-        .field("cache_circuit_misses", result.telemetry.cacheCircuitMisses)
-        .field("cache_spplan_hits", result.telemetry.cacheSpplanHits)
-        .field("cache_spplan_misses", result.telemetry.cacheSpplanMisses);
+        .field("cache_circuit_misses", result.telemetry.cacheCircuitMisses);
     w.field("plan_recorded", result.telemetry.planRecorded)
         .field("plan_replayed", result.telemetry.planReplayed)
         .field("plan_aborted", result.telemetry.planAborted)

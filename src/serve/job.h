@@ -110,13 +110,12 @@ struct JobTelemetry
 
     /// @name Per-domain artifact-cache attribution
     ///
-    /// Hits/misses split by cache domain (pipeline/circuit/spplan), the
+    /// Hits/misses split by cache domain (pipeline/circuit), the
     /// per-job counterpart of the registry's labeled domain counters --
     /// the global hit rate hides which layer of reuse a job exercised.
     /// @{
     uint64_t cachePipelineHits = 0, cachePipelineMisses = 0;
     uint64_t cacheCircuitHits = 0, cacheCircuitMisses = 0;
-    uint64_t cacheSpplanHits = 0, cacheSpplanMisses = 0;
     /// @}
 
     /// @name Rotation-plan cache outcome (rasengan jobs)

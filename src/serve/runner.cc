@@ -209,8 +209,6 @@ JobRunner::run(const PreparedJob &job,
     result.telemetry.cachePipelineMisses = domain("pipeline").misses;
     result.telemetry.cacheCircuitHits = domain("circuit").hits;
     result.telemetry.cacheCircuitMisses = domain("circuit").misses;
-    result.telemetry.cacheSpplanHits = domain("spplan").hits;
-    result.telemetry.cacheSpplanMisses = domain("spplan").misses;
     result.telemetry.priority = job.req.priority;
     return result;
 }
@@ -308,39 +306,6 @@ JobRunner::solveRasengan(const PreparedJob &job,
                     },
                     ctr, "circuit");
                 return *lowered;
-            };
-    }
-
-    // Sparse rotation plans: keyed by the segment's structural
-    // fingerprint (qubits + initial support + transition masks), shared
-    // across jobs solving the same problem so only the first one pays
-    // for partner searches and key merges.  A plan recorded while
-    // pruning fired is stored !replayable; since angles differ per job
-    // seed, two jobs can legitimately race to publish different values
-    // for that marker -- first-publish-wins is fine because plans are a
-    // performance hint, never a correctness input (results stay
-    // bit-identical with the hook on or off, or with the cache cold).
-    {
-        std::shared_ptr<ArtifactCache> cache = cache_;
-        ArtifactCache::LookupCounters *ctr = &counters;
-        opts.planStore =
-            [cache, ctr](uint64_t fingerprint,
-                         const std::function<std::shared_ptr<
-                             const qsim::SparseSegmentPlan>()> &make) {
-                char payload[32];
-                std::snprintf(payload, sizeof(payload), "%016llx",
-                              static_cast<unsigned long long>(fingerprint));
-                CacheKey key = makeKey("spplan", payload);
-                return cache->getOrCompute<qsim::SparseSegmentPlan>(
-                    key,
-                    [&make]()
-                        -> std::pair<
-                            std::shared_ptr<const qsim::SparseSegmentPlan>,
-                            uint64_t> {
-                        auto built = make();
-                        return {built, built->approxBytes()};
-                    },
-                    ctr, "spplan");
             };
     }
 

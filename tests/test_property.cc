@@ -11,6 +11,8 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <numbers>
 
 #include "baselines/qubo.h"
 #include "circuit/qasm.h"
@@ -251,6 +253,103 @@ TEST_P(PropertySweep, NoiseFreePurifiedOutputIsFeasible)
         }
         EXPECT_NEAR(res.inConstraintsRate, 1.0, 1e-9);
     }
+}
+
+TEST_P(PropertySweep, RotationPlansAreTransparent)
+{
+    // execute() with rotation plans on must return the direct kernels'
+    // bytes.  The first angle vector records every (segment, input
+    // state), the next two replay those plans at new angles, and the
+    // last (all pi/2) rotates sources to zero, so replays abort on a
+    // prune and fall back.  Instances: a planted system, and a
+    // ProblemBuilder system whose <=/>= rows add binary slack.
+    const int n = 7;
+    PlantedSystem sys = plantSystem(rng, n, 2);
+    problems::QuadraticObjective f(n);
+    for (int i = 0; i < n; ++i)
+        f.addLinear(i, static_cast<double>(rng.uniformInt(1, 9)));
+    std::vector<problems::Problem> instances;
+    instances.emplace_back("planted-plans", "RAND", sys.c, sys.b, f, sys.x0);
+
+    problems::ProblemBuilder builder("builder-plans", "RAND", 6);
+    BitVec x0;
+    for (int i = 0; i < 6; ++i) {
+        builder.objectiveLinear(i, static_cast<double>(rng.uniformInt(1, 9)));
+        if (rng.bernoulli(0.5))
+            x0.set(i);
+    }
+    for (int r = 0; r < 2; ++r) {
+        std::vector<problems::ProblemBuilder::Term> terms;
+        int64_t lhs = 0;
+        for (int var = 0; var < 6; ++var) {
+            const int64_t coeff = rng.uniformInt(-1, 1);
+            if (coeff == 0)
+                continue;
+            terms.emplace_back(var, coeff);
+            if (x0.get(var))
+                lhs += coeff;
+        }
+        if (terms.empty()) {
+            terms.emplace_back(r, 1);
+            lhs = x0.get(r) ? 1 : 0;
+        }
+        if (r == 0)
+            builder.addLessEqual(terms, lhs + rng.uniformInt(0, 2));
+        else
+            builder.addGreaterEqual(terms, lhs - rng.uniformInt(0, 2));
+    }
+    instances.push_back(builder.build(x0));
+
+    using Execution = core::RasenganOptions::Execution;
+    core::PlanStats seen;
+    for (const problems::Problem &p : instances) {
+        for (Execution execution :
+             {Execution::ExactSparse, Execution::SampledSparse}) {
+            core::RasenganOptions on;
+            on.execution = execution;
+            on.transitionsPerSegment = 2;
+            core::RasenganOptions off = on;
+            off.cacheRotationPlans = false;
+            core::RasenganSolver planned(p, on);
+            core::RasenganSolver direct(p, off);
+
+            std::vector<std::vector<double>> angles(3);
+            for (auto &times : angles) {
+                times.resize(planned.numParams());
+                for (double &t : times)
+                    t = rng.uniformReal(-2.0, 2.0);
+            }
+            angles.emplace_back(planned.numParams(), std::numbers::pi / 2);
+            for (size_t a = 0; a < angles.size(); ++a) {
+                const std::string where =
+                    "seed " + std::to_string(GetParam()) + " " + p.id() +
+                    " execution " +
+                    std::to_string(static_cast<int>(execution)) +
+                    " angles " + std::to_string(a);
+                Rng rng_on(GetParam() + a), rng_off(GetParam() + a);
+                auto want = direct.execute(angles[a], rng_off);
+                auto got = planned.execute(angles[a], rng_on);
+                ASSERT_EQ(got.failed, want.failed) << where;
+                ASSERT_EQ(got.entries.size(), want.entries.size()) << where;
+                for (size_t i = 0; i < want.entries.size(); ++i) {
+                    ASSERT_EQ(got.entries[i].first, want.entries[i].first)
+                        << where;
+                    ASSERT_EQ(std::memcmp(&got.entries[i].second,
+                                          &want.entries[i].second,
+                                          sizeof(double)),
+                              0)
+                        << where << " entry " << i;
+                }
+            }
+            EXPECT_EQ(direct.planStats().recorded, 0u);
+            seen.recorded += planned.planStats().recorded;
+            seen.replayed += planned.planStats().replayed;
+            seen.aborted += planned.planStats().aborted;
+        }
+    }
+    EXPECT_GT(seen.recorded, 0u) << "seed " << GetParam();
+    EXPECT_GT(seen.replayed, 0u) << "seed " << GetParam();
+    EXPECT_GT(seen.aborted, 0u) << "seed " << GetParam();
 }
 
 /** ||C x - b||_1 by the dense rows x n loop over the matrix. */

@@ -561,6 +561,13 @@ TEST(Scheduler, WarmCacheHitsDoNotChangeResults)
     EXPECT_EQ(cold, warm);
     // The warm batch recomputed nothing the cold batch already built.
     EXPECT_EQ(cache->stats().misses, missesAfterCold);
+
+    // A zero-budget cache keeps nothing: every artifact is rebuilt per
+    // job, and the bytes still match.
+    auto none = std::make_shared<ArtifactCache>(0);
+    std::vector<std::string> uncached = runBatch(reqs, 2, none);
+    EXPECT_EQ(cold, uncached);
+    EXPECT_EQ(none->stats().hits, 0u);
     parallel::setThreadCount(0);
 }
 

@@ -291,7 +291,6 @@ recordJ1Segment(const std::vector<double> &times)
     rec.n = p.numVars();
     rec.times = times;
     rec.plan.numQubits = rec.n;
-    rec.plan.initial = p.trivialFeasible();
     SparseState s(rec.n, p.trivialFeasible());
     const uint64_t epoch0 = s.supportEpoch();
     for (size_t k = 0; k < times.size(); ++k) {
@@ -333,7 +332,8 @@ TEST(SparsePlan, ReplayWithNewAnglesMatchesDirect)
     auto replayed = qsim::replaySegmentPlan(rec.plan, other.data());
     ASSERT_TRUE(replayed.has_value());
 
-    SparseState direct(rec.n, rec.plan.initial);
+    SparseState direct(rec.n,
+                       problems::makeBenchmark("J1").trivialFeasible());
     for (size_t k = 0; k < other.size(); ++k)
         direct.applyPairRotation(rec.taus[k].mask(),
                                  rec.taus[k].patternPlus(), other[k]);
@@ -361,31 +361,6 @@ TEST(SparsePlan, RecordingUnderPruningMarksPlanUnreplayable)
     RecordedSegment rec =
         recordJ1Segment({kPi / 2, kPi / 2, kPi / 2, kPi / 2});
     EXPECT_FALSE(rec.plan.replayable);
-}
-
-TEST(SparsePlan, FingerprintSeparatesStructures)
-{
-    problems::Problem p = problems::makeBenchmark("J1");
-    auto transitions = core::makeTransitions(core::homogeneousBasis(p));
-    std::vector<std::pair<BitVec, BitVec>> steps;
-    for (const auto &tau : transitions)
-        steps.emplace_back(tau.mask(), tau.patternPlus());
-
-    const uint64_t base = qsim::planStructureFingerprint(
-        p.numVars(), p.trivialFeasible(), steps);
-    EXPECT_EQ(qsim::planStructureFingerprint(p.numVars(),
-                                             p.trivialFeasible(), steps),
-              base);
-
-    BitVec other = p.trivialFeasible();
-    other.flip(0);
-    EXPECT_NE(qsim::planStructureFingerprint(p.numVars(), other, steps),
-              base);
-    std::vector<std::pair<BitVec, BitVec>> shorter(steps.begin(),
-                                                   steps.end() - 1);
-    EXPECT_NE(qsim::planStructureFingerprint(p.numVars(),
-                                             p.trivialFeasible(), shorter),
-              base);
 }
 
 TEST(PlanCache, SolverResultsIdenticalWithCachingOnAndOff)
