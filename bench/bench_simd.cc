@@ -12,10 +12,7 @@
  *   - dense_diag_evo:     applyDiagonalEvolution (scalar libm phase
  *                         factors, vectorized multiply);
  *   - dense_diag_terms:   applyDiagonalTerms with a deep coalesced
- *                         term block (vectorized control-mask scan);
- *   - sparse_rotation:    SparseState::applyPairRotation chain
- *                         (classify + batched partner search + gathered
- *                         pair rotation).
+ *                         term block (vectorized control-mask scan).
  *
  * Every SIMD record carries speedup_vs_scalar and max_abs_diff; the
  * determinism contract makes the latter exactly 0.0, and CI fails the
@@ -41,7 +38,6 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "qsim/simd.h"
-#include "qsim/sparsestate.h"
 #include "qsim/statevector.h"
 
 namespace {
@@ -201,65 +197,6 @@ benchDense(int n, int repeats, bench::Table &table)
 }
 
 void
-benchSparse(int steps, int repeats, bench::Table &table)
-{
-    const int n = 24;
-    auto run = [&]() {
-        qsim::SparseState st(n, BitVec{});
-        for (int step = 0; step < steps; ++step) {
-            BitVec mask;
-            mask.set(step % n);
-            mask.set((step * 5 + 1) % n);
-            st.applyPairRotation(mask, BitVec{}, 0.21 + 0.007 * step,
-                                 qsim::SparseState::
-                                     kDefaultPruneThreshold);
-        }
-        return st;
-    };
-
-    std::vector<Complex> scalar_amps;
-    double scalar_ms = 0.0;
-    size_t support = 0;
-    for (qsim::SimdIsa isa : qsim::simdAvailableIsas()) {
-        if (!qsim::setSimdIsa(isa))
-            continue;
-        qsim::SparseState final_state = run();
-        support = final_state.supportSize();
-        Record &rec = timeKernel("sparse_rotation", isa, repeats, [&] {
-            qsim::SparseState s = run();
-            volatile size_t sink = s.supportSize();
-            (void)sink;
-        });
-        rec.extra.emplace_back("support",
-                               static_cast<double>(support));
-        rec.extra.emplace_back("chain_steps",
-                               static_cast<double>(steps));
-        double diff = 0.0;
-        if (isa == qsim::SimdIsa::Scalar) {
-            scalar_amps = final_state.amps();
-            scalar_ms = rec.medianMs;
-        } else {
-            diff = maxAbsDiff(final_state.amps(), scalar_amps);
-            rec.extra.emplace_back("max_abs_diff", diff);
-            rec.extra.emplace_back("speedup_vs_scalar",
-                                   rec.medianMs > 0.0
-                                       ? scalar_ms / rec.medianMs
-                                       : 0.0);
-        }
-        table.cell("sparse_rotation");
-        table.cell(rec.isa);
-        table.cell(rec.medianMs);
-        table.cell(isa == qsim::SimdIsa::Scalar
-                       ? 1.0
-                       : (rec.medianMs > 0.0 ? scalar_ms / rec.medianMs
-                                             : 0.0),
-                   "%.2f");
-        table.cell(diff, "%.1e");
-        table.endRow();
-    }
-}
-
-void
 writeJson(const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
@@ -298,7 +235,6 @@ main()
     const bool fast = bench::fastMode();
     const int repeats = fast ? 5 : 7;
     const int n_dense = fast ? 16 : 20;
-    const int sparse_steps = fast ? 22 : 26;
 
     // Kernel-level A/B wants a pure single-threaded comparison; the
     // deterministic blocking makes thread count orthogonal to ISA.
@@ -313,7 +249,6 @@ main()
         {"kernel", "isa", "median_ms", "speedup", "max_diff"});
     table.printHeader();
     benchDense(n_dense, repeats, table);
-    benchSparse(sparse_steps, repeats, table);
 
     const char *env = std::getenv("RASENGAN_BENCH_JSON");
     writeJson(env && *env ? env : "BENCH_simd.json");

@@ -1,11 +1,10 @@
 /**
  * @file
- * A/B benchmark for the sparse simulation engine overhaul: the seed
- * hash-map engine (bench/legacy_sparsestate.h, preserved verbatim)
- * against the flat structure-of-arrays engine (qsim/sparsestate.h) --
- * run both scalar and, when the CPU has one, under the best vector ISA
- * (qsim/simd.h) -- plus a thread sweep over the new parallel kernels
- * and the rotation-plan cache's replay-vs-direct timing and hit rate.
+ * A/B benchmark for the sparse simulation engine: the seed hash-map
+ * engine (bench/legacy_sparsestate.h, preserved verbatim as an
+ * independent reference) against the flat structure-of-arrays engine
+ * (qsim/sparsestate.h), plus the rotation-plan cache's replay-vs-direct
+ * timing and hit rate.
  *
  * Workload: the full pruned transition chain of the Figure-10
  * scalability FLP instances (up to 105 variables, maxTrackedStates
@@ -16,7 +15,6 @@
  * agreement check (CI asserts <= 1e-10 and a plan-cache hit rate > 0).
  *
  * Knobs: RASENGAN_BENCH_FAST=1 trims sizes/repeats for CI smoke runs;
- * RASENGAN_BENCH_THREADS="1,2,4" overrides the sweep;
  * RASENGAN_BENCH_JSON overrides the output path (BENCH_sparse.json).
  */
 
@@ -29,13 +27,11 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/rasengan.h"
 #include "legacy_sparsestate.h"
 #include "problems/suite.h"
-#include "qsim/simd.h"
 #include "qsim/sparseplan.h"
 #include "qsim/sparsestate.h"
 
@@ -46,8 +42,7 @@ using namespace rasengan;
 struct Record
 {
     std::string kernel;
-    std::string variant; ///< "legacy", "soa", "soa_simd", "threads=N", ...
-    int threads = 1;
+    std::string variant; ///< "legacy", "soa", "plan_cache_on", ...
     int repeats = 0;
     double medianMs = 0.0;
     double minMs = 0.0;
@@ -67,7 +62,7 @@ medianOf(std::vector<double> samples)
 
 Record &
 timeKernel(const std::string &kernel, const std::string &variant,
-           int threads, int repeats, const std::function<void()> &body)
+           int repeats, const std::function<void()> &body)
 {
     body(); // warmup
     std::vector<double> ms;
@@ -82,38 +77,11 @@ timeKernel(const std::string &kernel, const std::string &variant,
     Record rec;
     rec.kernel = kernel;
     rec.variant = variant;
-    rec.threads = threads;
     rec.repeats = repeats;
     rec.medianMs = medianOf(ms);
     rec.minMs = *std::min_element(ms.begin(), ms.end());
     g_records.push_back(std::move(rec));
     return g_records.back();
-}
-
-std::vector<int>
-threadSweep()
-{
-    std::vector<int> sweep;
-    if (const char *env = std::getenv("RASENGAN_BENCH_THREADS")) {
-        int cur = 0;
-        bool have = false;
-        for (const char *c = env;; ++c) {
-            if (*c >= '0' && *c <= '9') {
-                cur = cur * 10 + (*c - '0');
-                have = true;
-            } else {
-                if (have && cur > 0)
-                    sweep.push_back(cur);
-                cur = 0;
-                have = false;
-                if (!*c)
-                    break;
-            }
-        }
-    }
-    if (sweep.empty())
-        sweep = {1, 2, 4};
-    return sweep;
 }
 
 /** One Figure-10 instance: problem + pruned chain + evolution times. */
@@ -189,21 +157,14 @@ maxAmplitudeDiff(const bench::LegacySparseState &legacy,
 void
 benchEngineAB(const std::vector<int> &sizes, int repeats)
 {
-    bench::banner("legacy hash-map vs flat SoA (single thread)");
+    bench::banner("legacy hash-map vs flat SoA");
     bench::Table table({"vars", "chain", "support", "legacy_ms", "soa_ms",
-                        "simd_ms", "speedup", "max_diff"});
+                        "speedup", "max_diff"});
     table.printHeader();
-    parallel::setThreadCount(1);
-
-    // The legacy engine and the "soa" record form the stable scalar
-    // reference pair; "soa_simd" re-runs the SoA engine under the best
-    // vector ISA (when the CPU has one) and must agree bit-for-bit.
-    const bool have_simd = qsim::simdBestIsa() != qsim::SimdIsa::Scalar;
 
     for (int v : sizes) {
         ChainCase c = makeChainCase(v);
 
-        qsim::setSimdIsa(qsim::SimdIsa::Scalar);
         bench::LegacySparseState legacy_final = runLegacy(c);
         qsim::SparseState soa_final = runSoa(c);
         const double max_diff = maxAmplitudeDiff(legacy_final, soa_final);
@@ -219,7 +180,7 @@ benchEngineAB(const std::vector<int> &sizes, int repeats)
         };
 
         Record &old_rec =
-            timeKernel("chain_evolution_" + std::to_string(v), "legacy", 1,
+            timeKernel("chain_evolution_" + std::to_string(v), "legacy",
                        repeats, [&] {
                            bench::LegacySparseState s = runLegacy(c);
                            volatile size_t sink = s.supportSize();
@@ -230,7 +191,7 @@ benchEngineAB(const std::vector<int> &sizes, int repeats)
         const double legacy_ms = old_rec.medianMs;
 
         Record &new_rec =
-            timeKernel("chain_evolution_" + std::to_string(v), "soa", 1,
+            timeKernel("chain_evolution_" + std::to_string(v), "soa",
                        repeats, [&] {
                            qsim::SparseState s = runSoa(c);
                            volatile size_t sink = s.supportSize();
@@ -243,159 +204,15 @@ benchEngineAB(const std::vector<int> &sizes, int repeats)
         new_rec.extra.emplace_back("max_abs_diff", max_diff);
         new_rec.extra.emplace_back("speedup_vs_legacy", speedup);
 
-        double simd_ms = 0.0;
-        if (have_simd && qsim::setSimdIsa(qsim::simdBestIsa())) {
-            qsim::SparseState simd_final = runSoa(c);
-            // The SIMD kernels are bit-identical to scalar; the recorded
-            // diff is still measured against the legacy engine so the CI
-            // gate applies uniformly to every variant.
-            const double simd_diff =
-                maxAmplitudeDiff(legacy_final, simd_final);
-            Record &simd_rec = timeKernel(
-                "chain_evolution_" + std::to_string(v), "soa_simd", 1,
-                repeats, [&] {
-                    qsim::SparseState s = runSoa(c);
-                    volatile size_t sink = s.supportSize();
-                    (void)sink;
-                });
-            simd_ms = simd_rec.medianMs;
-            commonExtras(simd_rec, simd_final.supportSize());
-            simd_rec.extra.emplace_back("max_abs_diff", simd_diff);
-            simd_rec.extra.emplace_back(
-                "speedup_vs_soa_scalar",
-                simd_ms > 0.0 ? soa_ms / simd_ms : 0.0);
-            qsim::setSimdIsa(qsim::SimdIsa::Scalar);
-        }
-
         table.cell(v);
         table.cell(static_cast<int>(c.steps.size()));
         table.cell(static_cast<int>(soa_final.supportSize()));
         table.cell(legacy_ms);
         table.cell(soa_ms);
-        table.cell(simd_ms);
         table.cell(speedup, "%.2f");
         table.cell(max_diff, "%.2e");
         table.endRow();
     }
-    qsim::setSimdIsa(qsim::simdBestIsa());
-}
-
-void
-benchThreadSweep(int num_vars, const std::vector<int> &sweep, int repeats)
-{
-    bench::banner("SoA kernels thread sweep");
-    bench::Table table({"vars", "threads", "median_ms"});
-    table.printHeader();
-
-    ChainCase c = makeChainCase(num_vars);
-    for (int tc : sweep) {
-        parallel::setThreadCount(tc);
-        Record &rec = timeKernel(
-            "chain_evolution_" + std::to_string(num_vars),
-            "threads=" + std::to_string(tc), tc, repeats, [&] {
-                qsim::SparseState s = runSoa(c);
-                volatile size_t sink = s.supportSize();
-                (void)sink;
-            });
-        rec.extra.emplace_back("vars", num_vars);
-        rec.extra.emplace_back("chain_steps",
-                               static_cast<double>(c.steps.size()));
-        table.cell(num_vars);
-        table.cell(tc);
-        table.cell(rec.medianMs);
-        table.endRow();
-    }
-    parallel::setThreadCount(1);
-}
-
-/**
- * Thread sweep over the contiguous bulk kernels (phase, norm,
- * renormalize, prune scan) on a wide synthetic support.  The chain
- * sweep above is bounded by the serial pair-enumeration pass and
- * per-step pool dispatch; these kernels are where the SoA layout's
- * parallelism actually pays.
- */
-void
-benchBulkKernels(const std::vector<int> &sweep, int repeats)
-{
-    bench::banner("bulk SoA kernels thread sweep (synthetic support)");
-    bench::Table table({"kernel", "support", "threads", "median_ms"});
-    table.printHeader();
-
-    const uint64_t support = bench::fastMode() ? (uint64_t{1} << 18)
-                                               : (uint64_t{1} << 20);
-    std::vector<BitVec> keys;
-    std::vector<qsim::SparseState::Complex> amps;
-    keys.reserve(support);
-    amps.reserve(support);
-    Rng rng(23);
-    const double inv = 1.0 / std::sqrt(static_cast<double>(support));
-    for (uint64_t i = 0; i < support; ++i) {
-        keys.push_back(BitVec::fromIndex(i * 3 + 1));
-        amps.emplace_back(inv * std::cos(0.01 * static_cast<double>(i)),
-                          inv * std::sin(0.01 * static_cast<double>(i)));
-    }
-
-    for (int tc : sweep) {
-        parallel::setThreadCount(tc);
-        qsim::SparseState s = qsim::SparseState::fromSorted(
-            64, keys, std::vector<qsim::SparseState::Complex>(amps));
-
-        Record &rnorm = timeKernel("bulk_norm_squared",
-                                   "threads=" + std::to_string(tc), tc,
-                                   repeats, [&] {
-                                       volatile double sink =
-                                           s.normSquared();
-                                       (void)sink;
-                                   });
-        rnorm.extra.emplace_back("support",
-                                 static_cast<double>(support));
-        table.cell("norm");
-        table.cell(static_cast<int>(support));
-        table.cell(tc);
-        table.cell(rnorm.medianMs);
-        table.endRow();
-
-        Record &rphase = timeKernel(
-            "bulk_apply_phase", "threads=" + std::to_string(tc), tc,
-            repeats, [&] {
-                s.applyPhase([](const BitVec &x) {
-                    return 1e-7 * static_cast<double>(x.low64() & 0xffff);
-                });
-            });
-        rphase.extra.emplace_back("support",
-                                  static_cast<double>(support));
-        table.cell("phase");
-        table.cell(static_cast<int>(support));
-        table.cell(tc);
-        table.cell(rphase.medianMs);
-        table.endRow();
-
-        Record &rren = timeKernel("bulk_renormalize",
-                                  "threads=" + std::to_string(tc), tc,
-                                  repeats, [&] { s.renormalize(); });
-        rren.extra.emplace_back("support", static_cast<double>(support));
-        table.cell("renorm");
-        table.cell(static_cast<int>(support));
-        table.cell(tc);
-        table.cell(rren.medianMs);
-        table.endRow();
-
-        Record &rprune = timeKernel(
-            "bulk_prune_scan", "threads=" + std::to_string(tc), tc,
-            repeats, [&] {
-                volatile size_t sink = s.prune(1e-300);
-                (void)sink;
-            });
-        rprune.extra.emplace_back("support",
-                                  static_cast<double>(support));
-        table.cell("prune");
-        table.cell(static_cast<int>(support));
-        table.cell(tc);
-        table.cell(rprune.medianMs);
-        table.endRow();
-    }
-    parallel::setThreadCount(1);
 }
 
 void
@@ -404,7 +221,6 @@ benchPlanCache(int num_vars, int iterations, int repeats)
     bench::banner("rotation-plan cache (optimizer-loop shape)");
     bench::Table table({"vars", "variant", "median_ms", "hit_rate"});
     table.printHeader();
-    parallel::setThreadCount(1);
 
     problems::Problem p = problems::makeScalabilityFlp(num_vars);
     core::RasenganOptions base;
@@ -435,14 +251,14 @@ benchPlanCache(int num_vars, int iterations, int repeats)
     // timeKernel's Record& dangles once the next call pushes into
     // g_records: finish each record before timing the next variant.
     Record &off = timeKernel("optimizer_loop_" + std::to_string(num_vars),
-                             "plan_cache_off", 1, repeats,
+                             "plan_cache_off", repeats,
                              [&] { stats_off = loop(false); });
     off.extra.emplace_back("vars", num_vars);
     off.extra.emplace_back("iterations", iterations);
     const double off_ms = off.medianMs;
 
     Record &on = timeKernel("optimizer_loop_" + std::to_string(num_vars),
-                            "plan_cache_on", 1, repeats,
+                            "plan_cache_on", repeats,
                             [&] { stats_on = loop(true); });
 
     const double lookups =
@@ -488,10 +304,10 @@ writeJson(const std::string &path)
         const Record &r = g_records[i];
         std::fprintf(f,
                      "    {\"kernel\": \"%s\", \"variant\": \"%s\", "
-                     "\"threads\": %d, \"repeats\": %d, "
+                     "\"repeats\": %d, "
                      "\"median_ms\": %.6f, \"min_ms\": %.6f",
-                     r.kernel.c_str(), r.variant.c_str(), r.threads,
-                     r.repeats, r.medianMs, r.minMs);
+                     r.kernel.c_str(), r.variant.c_str(), r.repeats,
+                     r.medianMs, r.minMs);
         for (const auto &[key, value] : r.extra)
             std::fprintf(f, ", \"%s\": %g", key.c_str(), value);
         std::fprintf(f, "}%s\n", i + 1 < g_records.size() ? "," : "");
@@ -508,7 +324,6 @@ main()
 {
     const bool fast = bench::fastMode();
     const int repeats = fast ? 3 : 5;
-    const std::vector<int> sweep = threadSweep();
 
     // Figure-10 FLP sizes; fast mode keeps the tail short for CI.
     std::vector<int> sizes;
@@ -525,8 +340,6 @@ main()
                 fast ? " (fast mode)" : "");
 
     benchEngineAB(sizes, repeats);
-    benchThreadSweep(sizes.back(), sweep, repeats);
-    benchBulkKernels(sweep, repeats);
     benchPlanCache(fast ? 33 : 52, fast ? 10 : 30, fast ? 2 : 3);
 
     const char *env = std::getenv("RASENGAN_BENCH_JSON");

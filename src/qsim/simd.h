@@ -2,8 +2,11 @@
  * @file
  * SIMD kernel tier: runtime-dispatched amplitude kernels.
  *
- * Every hot amplitude loop of the dense and sparse engines is routed
- * through a table of kernel function pointers (SimdKernels).  The table
+ * Every hot amplitude loop of the dense engines (statevector, density
+ * matrix, noise trajectories) is routed through a table of kernel
+ * function pointers (SimdKernels).  The sparse engine is not: its
+ * supports stay small, so it runs its own serial scalar loops
+ * (qsim/sparsestate.cc).  The table
  * has one implementation per instruction set -- scalar (always built),
  * AVX2 (x86-64, built when the compiler supports -mavx2 and selected
  * only when the CPU reports the feature), NEON (aarch64) -- living in
@@ -42,12 +45,10 @@
 #include <complex>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "circuit/fusion.h"
 #include "circuit/gatematrix.h"
-#include "common/bitvec.h"
 
 namespace rasengan::qsim {
 
@@ -59,17 +60,6 @@ enum class SimdIsa : int {
 
 /** "scalar", "avx2", "neon". */
 const char *simdIsaName(SimdIsa isa);
-
-/** Roles of a populated sparse state under one transition; shared by
- *  the classify kernels and SparseState::applyPairRotation. */
-enum SimdRole : uint8_t {
-    kSimdRoleDark = 0,
-    kSimdRolePlus = 1,
-    kSimdRoleMinus = 2,
-};
-
-/** Partner-index sentinel: the partner basis state is unpopulated. */
-constexpr uint32_t kSimdAbsent = UINT32_MAX;
 
 /**
  * The per-ISA kernel table.  All Complex arrays are the engines' native
@@ -126,31 +116,6 @@ struct SimdKernels
      */
     void (*diagonalTerms)(Complex *amps, const circuit::DiagTerm *terms,
                           size_t num_terms, uint64_t i0, uint64_t i1);
-
-    /**
-     * Sparse pass 1: for i in [i0, i1) classify keys[i] against the
-     * transition support (role[i] in {dark, plus, minus}) and, for
-     * non-dark states, lower-bound search the full sorted key array
-     * [0, n) for the partner keys[i]^mask (partner[i] = index, or
-     * kSimdAbsent when unpopulated).  The AVX2 arm batches four
-     * searches through a gather-based branchless lower bound.
-     */
-    void (*sparseClassify)(const BitVec *keys, uint64_t n, uint64_t i0,
-                           uint64_t i1, const BitVec &mask,
-                           const BitVec &pattern_plus,
-                           const BitVec &pattern_minus, uint8_t *role,
-                           uint32_t *partner);
-
-    /**
-     * Sparse pass 5 / plan replay: gathered pair rotation.  For p in
-     * [p0, p1), rotate the (plus, minus) amplitude pair at indices
-     * pairs[p] by angle t: a_plus' = c*a_plus + ms*a_minus and
-     * symmetrically, with c = cos(t) and ms = -i*sin(t).
-     */
-    void (*sparsePairRotate)(Complex *amps,
-                             const std::pair<uint32_t, uint32_t> *pairs,
-                             uint64_t p0, uint64_t p1, double c,
-                             Complex ms);
 };
 
 /** The active kernel table (resolving RASENGAN_SIMD on first use). */

@@ -5,9 +5,9 @@
  * simd_generic.h exactly -- separate multiply and add/sub steps, no
  * vfma (this TU, like every simd TU, is compiled with
  * -ffp-contract=off, which matters on aarch64 where GCC contracts by
- * default).  The key-search and control-mask kernels delegate to the
- * shared scalar bodies: they are integer-dominated, and the scalar
- * bodies are already the canonical op sequence.
+ * default).  The control-mask kernel delegates to the shared scalar
+ * body: it is integer-dominated, and the scalar body is already the
+ * canonical op sequence.
  *
  * Gated on __aarch64__; other targets compile this TU to a null table.
  */
@@ -112,25 +112,6 @@ diagonalEvolution(Complex *amps, const double *values, double scale,
     }
 }
 
-void
-sparsePairRotate(Complex *amps,
-                 const std::pair<uint32_t, uint32_t> *pairs, uint64_t p0,
-                 uint64_t p1, double c, Complex ms)
-{
-    double *d = reinterpret_cast<double *>(amps);
-    const float64x2_t vc = vdupq_n_f64(c);
-    const float64x2_t vms = loadComplex(ms);
-    for (uint64_t p = p0; p < p1; ++p) {
-        const uint64_t ip = pairs[p].first, im = pairs[p].second;
-        float64x2_t ap = vld1q_f64(d + 2 * ip);
-        float64x2_t am = vld1q_f64(d + 2 * im);
-        vst1q_f64(d + 2 * ip,
-                  vaddq_f64(vmulq_f64(vc, ap), cmul2(vms, am)));
-        vst1q_f64(d + 2 * im,
-                  vaddq_f64(vmulq_f64(vc, am), cmul2(vms, ap)));
-    }
-}
-
 const SimdKernels kNeonKernels = {
     SimdIsa::Neon,
     &pairRotateStrided,
@@ -138,8 +119,6 @@ const SimdKernels kNeonKernels = {
     &cmulArray,
     &diagonalEvolution,
     &simd_generic::diagonalTerms,
-    &simd_generic::sparseClassify,
-    &sparsePairRotate,
 };
 
 } // namespace

@@ -19,8 +19,6 @@ const SimdKernels kScalarKernels = {
     &simd_generic::cmulArray,
     &simd_generic::diagonalEvolution,
     &simd_generic::diagonalTerms,
-    &simd_generic::sparseClassify,
-    &simd_generic::sparsePairRotate,
 };
 
 } // namespace

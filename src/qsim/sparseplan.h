@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -74,6 +75,17 @@ struct SparseSegmentPlan
     /** Support after the last step, strictly ascending. */
     std::vector<BitVec> finalKeys;
 };
+
+/**
+ * Rotate each (plus, minus) slot pair of @p amps by angle @p t:
+ * a+' = cos(t) a+ - i sin(t) a-, and symmetrically for a-.  The one
+ * rotation body that SparseState::applyPairRotation and
+ * replaySegmentPlan share, which is what makes replay bit-identical to
+ * direct execution.  Pairs must be disjoint.
+ */
+void rotatePairs(std::vector<SparseState::Complex> &amps,
+                 const std::vector<std::pair<uint32_t, uint32_t>> &pairs,
+                 double t);
 
 /**
  * Replay @p plan with per-step angles @p times (times[i] drives step i;

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "obs/prof.h"
-#include "qsim/simd.h"
 #include "qsim/sparseplan.h"
 
 namespace rasengan::qsim {
@@ -13,18 +12,40 @@ namespace rasengan::qsim {
 namespace {
 
 constexpr SparseState::Complex kI{0.0, 1.0};
-constexpr uint32_t kAbsent = UINT32_MAX;
 
-/** Roles of a populated state under one transition. */
-enum Role : uint8_t { kDark = 0, kPlus = 1, kMinus = 2 };
+/** Pair-plan indices are 32-bit; a support must leave room for them. */
+constexpr uint64_t kMaxSupport = UINT32_MAX / 2;
 
-// The SIMD classify kernel writes these values directly.
-static_assert(uint8_t{kDark} == uint8_t{kSimdRoleDark} &&
-              uint8_t{kPlus} == uint8_t{kSimdRolePlus} &&
-              uint8_t{kMinus} == uint8_t{kSimdRoleMinus});
-static_assert(kAbsent == kSimdAbsent);
+/**
+ * normSquared's summation block: partial sums over 2^14 states, added
+ * in index order.  This is common/parallel.h's kReduceBlock, the
+ * association the engine's norms have always had.
+ */
+constexpr uint64_t kNormBlock = uint64_t{1} << 14;
 
 } // namespace
+
+void
+rotatePairs(std::vector<SparseState::Complex> &amps,
+            const std::vector<std::pair<uint32_t, uint32_t>> &pairs,
+            double t)
+{
+    using Complex = SparseState::Complex;
+    const double c = std::cos(t);
+    const Complex ms = -kI * std::sin(t);
+    // a+' = c*a+ + ms*a-, a-' = c*a- + ms*a+, with each complex product
+    // expanded as (ar*br - ai*bi, ai*br + ar*bi).
+    for (const auto &[plus, minus] : pairs) {
+        Complex &ap = amps[plus];
+        Complex &am = amps[minus];
+        const double xp_re = ms.real() * am.real() - ms.imag() * am.imag();
+        const double xp_im = ms.imag() * am.real() + ms.real() * am.imag();
+        const double xm_re = ms.real() * ap.real() - ms.imag() * ap.imag();
+        const double xm_im = ms.imag() * ap.real() + ms.real() * ap.imag();
+        ap = Complex{c * ap.real() + xp_re, c * ap.imag() + xp_im};
+        am = Complex{c * am.real() + xm_re, c * am.imag() + xm_im};
+    }
+}
 
 SparseState::SparseState(int num_qubits, const BitVec &basis)
     : numQubits_(num_qubits)
@@ -76,14 +97,16 @@ SparseState::probability(const BitVec &basis) const
 double
 SparseState::normSquared() const
 {
-    return parallel::reduceBlocks(
-        0, amps_.size(), parallel::kReduceBlock,
-        [&](uint64_t b, uint64_t e) {
-            double acc = 0.0;
-            for (uint64_t i = b; i < e; ++i)
-                acc += std::norm(amps_[i]);
-            return acc;
-        });
+    const size_t n = amps_.size();
+    double total = 0.0;
+    for (size_t lo = 0; lo < n; lo += kNormBlock) {
+        const size_t hi = std::min<size_t>(lo + kNormBlock, n);
+        double block = 0.0;
+        for (size_t i = lo; i < hi; ++i)
+            block += std::norm(amps_[i]);
+        total += block;
+    }
+    return total;
 }
 
 void
@@ -92,30 +115,19 @@ SparseState::renormalize()
     double n2 = normSquared();
     panic_if(n2 < 1e-300, "renormalizing a zero sparse state");
     double inv = 1.0 / std::sqrt(n2);
-    parallel::parallelFor(0, amps_.size(), parallel::kDefaultGrain,
-                          [&](uint64_t b, uint64_t e) {
-                              for (uint64_t i = b; i < e; ++i)
-                                  amps_[i] *= inv;
-                          });
+    for (Complex &a : amps_)
+        a *= inv;
 }
 
 size_t
 SparseState::prune(double threshold)
 {
-    const uint64_t n = amps_.size();
-    std::vector<uint8_t> &keep = scratch_.keep;
-    keep.resize(n);
-    parallel::parallelFor(0, n, parallel::kDefaultGrain,
-                          [&](uint64_t b, uint64_t e) {
-                              for (uint64_t i = b; i < e; ++i)
-                                  keep[i] =
-                                      std::norm(amps_[i]) >= threshold;
-                          });
-    // Serial stable compaction of both arrays (order preserved, so the
-    // result is sorted and independent of the thread count).
-    uint64_t w = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-        if (!keep[i])
+    // Stable compaction of both arrays: order is preserved, so the
+    // support stays sorted.
+    const size_t n = amps_.size();
+    size_t w = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (!(std::norm(amps_[i]) >= threshold))
             continue;
         if (w != i) {
             keys_[w] = keys_[i];
@@ -123,7 +135,7 @@ SparseState::prune(double threshold)
         }
         ++w;
     }
-    size_t removed = static_cast<size_t>(n - w);
+    const size_t removed = n - w;
     if (removed > 0) {
         keys_.resize(w);
         amps_.resize(w);
@@ -141,143 +153,88 @@ SparseState::applyPairRotation(const BitVec &mask,
     panic_if(mask == BitVec{}, "pair rotation with empty support");
     RASENGAN_PROF("kernel", "sparse-pair-rotation");
     const BitVec pattern_minus = pattern_plus ^ mask;
-    const double c = std::cos(t);
-    const Complex ms = -kI * std::sin(t);
 
-    const uint64_t n = keys_.size();
-    fatal_if(n >= kAbsent / 2, "sparse support of {} states overflows the "
+    const size_t n = keys_.size();
+    fatal_if(n >= kMaxSupport, "sparse support of {} states overflows the "
              "32-bit pair-plan index space", n);
 
-    // Pass 1 (parallel): classify every populated state and locate its
-    // partner in the sorted key array -- one binary search instead of
-    // the hash engine's 4+ lookups per pair.
-    std::vector<uint8_t> &role = scratch_.role;
-    std::vector<uint32_t> &partner = scratch_.partnerIdx;
-    role.resize(n);
-    partner.resize(n);
-    const SimdKernels &kern = simdKernels();
-    parallel::parallelFor(
-        0, n, parallel::kDefaultGrain, [&](uint64_t b, uint64_t e) {
-            kern.sparseClassify(keys_.data(), n, b, e, mask, pattern_plus,
-                                pattern_minus, role.data(), partner.data());
-        });
-
-    // Pass 2 (serial, index order): enumerate each unordered pair once
-    // -- from its plus member, or from the minus member when the plus
-    // member is unpopulated (the rotation still creates it).
+    // Pass 1 (index order): classify every populated state, locate its
+    // partner by binary search over the sorted keys, and enumerate each
+    // unordered pair once -- from its plus member, or from the minus
+    // member when the plus member is unpopulated (the rotation still
+    // creates it).  States matching neither pattern are dark.
     auto &created = scratch_.created;
     auto &pairs = scratch_.pairs;
     created.clear();
     pairs.clear();
-    size_t both_populated = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-        if (role[i] == kDark)
+    for (size_t i = 0; i < n; ++i) {
+        const BitVec restricted = keys_[i] & mask;
+        const bool is_plus = restricted == pattern_plus;
+        if (!is_plus && !(restricted == pattern_minus))
             continue;
-        if (role[i] == kPlus) {
-            if (partner[i] != kAbsent) {
-                pairs.emplace_back(static_cast<uint32_t>(i), partner[i]);
-                ++both_populated;
-            } else {
-                created.push_back({keys_[i] ^ mask,
-                                   static_cast<uint32_t>(i), kMinus});
-            }
-        } else if (partner[i] == kAbsent) {
-            created.push_back({keys_[i] ^ mask, static_cast<uint32_t>(i),
-                               kPlus});
-        }
-        // minus member with a populated plus partner: handled above.
+        const BitVec partner_key = keys_[i] ^ mask;
+        const size_t j = findKey(partner_key);
+        const auto src = static_cast<uint32_t>(i);
+        if (j == n) // the created partner of a plus state is a minus one
+            created.push_back({partner_key, src, 0, /*isMinus=*/is_plus});
+        else if (is_plus)
+            pairs.emplace_back(src, static_cast<uint32_t>(j));
+        // A minus member with a populated plus partner was paired above.
     }
+    const size_t both_populated = pairs.size();
     std::sort(created.begin(), created.end(),
               [](const Scratch::Created &a, const Scratch::Created &b) {
                   return a.key < b.key;
               });
 
-    // Pass 3 (parallel): index translation old -> merged.  An old key's
-    // new slot shifts by the number of created keys below it; a created
-    // key's slot is its rank among created plus the number of old keys
-    // below it.  (x XOR mask is injective, so created keys are unique
-    // and never collide with populated ones.)
-    const uint64_t n_created = created.size();
-    const uint64_t n_next = n + n_created;
+    // Pass 2: merge the old keys with the created ones into the next
+    // layout; created slots start at amplitude zero.  (x XOR mask is
+    // injective, so created keys are unique and never collide with
+    // populated ones.)
+    const size_t n_next = n + created.size();
     std::vector<uint32_t> &old_to_new = scratch_.oldToNew;
-    old_to_new.resize(n);
-    auto created_below = [&](const BitVec &key) {
-        return static_cast<uint32_t>(
-            std::lower_bound(created.begin(), created.end(), key,
-                             [](const Scratch::Created &cr,
-                                const BitVec &k) { return cr.key < k; }) -
-            created.begin());
-    };
-    parallel::parallelFor(0, n, parallel::kDefaultGrain,
-                          [&](uint64_t b, uint64_t e) {
-                              for (uint64_t i = b; i < e; ++i)
-                                  old_to_new[i] =
-                                      static_cast<uint32_t>(i) +
-                                      created_below(keys_[i]);
-                          });
-
-    // Pass 4 (parallel): scatter keys and amplitudes into the merged
-    // layout; created slots start at amplitude zero.  Disjoint writes.
     std::vector<BitVec> &next_keys = scratch_.nextKeys;
     std::vector<Complex> &next_amps = scratch_.nextAmps;
+    old_to_new.resize(n);
     next_keys.resize(n_next);
     next_amps.resize(n_next);
-    if (record) {
+    if (record)
         record->scatter.resize(n_next);
-        record->pairs.clear();
+    size_t a = 0, b = 0;
+    for (size_t k = 0; k < n_next; ++k) {
+        if (b == created.size() || (a < n && keys_[a] < created[b].key)) {
+            old_to_new[a] = static_cast<uint32_t>(k);
+            next_keys[k] = keys_[a];
+            next_amps[k] = amps_[a];
+            if (record)
+                record->scatter[k] = static_cast<uint32_t>(a);
+            ++a;
+        } else {
+            created[b].slot = static_cast<uint32_t>(k);
+            next_keys[k] = created[b].key;
+            next_amps[k] = Complex{0.0, 0.0};
+            if (record)
+                record->scatter[k] = kPlanNoSource;
+            ++b;
+        }
     }
-    parallel::parallelFor(
-        0, n, parallel::kDefaultGrain, [&](uint64_t b, uint64_t e) {
-            for (uint64_t i = b; i < e; ++i) {
-                uint32_t k = old_to_new[i];
-                next_keys[k] = keys_[i];
-                next_amps[k] = amps_[i];
-                if (record)
-                    record->scatter[k] = static_cast<uint32_t>(i);
-            }
-        });
-    std::vector<uint32_t> created_new(n_created);
-    parallel::parallelFor(
-        0, n_created, parallel::kDefaultGrain,
-        [&](uint64_t b, uint64_t e) {
-            for (uint64_t j = b; j < e; ++j) {
-                uint32_t k = static_cast<uint32_t>(j) +
-                             static_cast<uint32_t>(std::lower_bound(
-                                                       keys_.begin(),
-                                                       keys_.end(),
-                                                       created[j].key) -
-                                                   keys_.begin());
-                created_new[j] = k;
-                next_keys[k] = created[j].key;
-                next_amps[k] = Complex{0.0, 0.0};
-                if (record)
-                    record->scatter[k] = kPlanNoSource;
-            }
-        });
 
     // Translate the pair list into merged indices: both-populated pairs
-    // first (index order), then creation pairs (created-key order) --
-    // deterministic regardless of the thread count.
+    // first (index order), then creation pairs (created-key order).
     for (size_t p = 0; p < both_populated; ++p) {
         pairs[p].first = old_to_new[pairs[p].first];
         pairs[p].second = old_to_new[pairs[p].second];
     }
-    for (uint64_t j = 0; j < n_created; ++j) {
-        uint32_t src = old_to_new[created[j].src];
-        if (created[j].side == kMinus)
-            pairs.emplace_back(src, created_new[j]);
+    for (const Scratch::Created &cr : created) {
+        const uint32_t src = old_to_new[cr.src];
+        if (cr.isMinus)
+            pairs.emplace_back(src, cr.slot);
         else
-            pairs.emplace_back(created_new[j], src);
+            pairs.emplace_back(cr.slot, src);
     }
 
-    // Pass 5 (parallel): rotate each pair.  Pairs are disjoint (every
-    // slot belongs to at most one), so writes never overlap.
-    parallel::parallelFor(
-        0, pairs.size(), parallel::kDefaultGrain,
-        [&](uint64_t b, uint64_t e) {
-            kern.sparsePairRotate(next_amps.data(), pairs.data(), b, e,
-                                  c, ms);
-        });
+    // Pass 3: rotate each pair.
+    rotatePairs(next_amps, pairs, t);
 
     if (record)
         record->pairs.assign(pairs.begin(), pairs.end());
@@ -342,24 +299,14 @@ SparseState::sample(Rng &rng, uint64_t shots) const
 {
     fatal_if(keys_.empty(), "sampling from an empty sparse state");
     RASENGAN_PROF("sample", "sparse-sample");
-    const uint64_t n = amps_.size();
-    std::vector<double> weights(n);
-    parallel::parallelFor(0, n, parallel::kDefaultGrain,
-                          [&](uint64_t b, uint64_t e) {
-                              for (uint64_t i = b; i < e; ++i)
-                                  weights[i] = std::norm(amps_[i]);
-                          });
-    double total = parallel::reduceBlocks(
-        0, n, parallel::kReduceBlock, [&](uint64_t b, uint64_t e) {
-            double acc = 0.0;
-            for (uint64_t i = b; i < e; ++i)
-                acc += weights[i];
-            return acc;
-        });
+    const double total = normSquared();
     fatal_if(!(total > 1e-18) || !std::isfinite(total),
              "sampling from a sparse state with total probability {} "
              "(noise/degradation collapsed the distribution)",
              total);
+    std::vector<double> weights(amps_.size());
+    for (size_t i = 0; i < amps_.size(); ++i)
+        weights[i] = std::norm(amps_[i]);
     AliasTable table(weights); // O(1)/shot instead of a linear scan
     Counts counts;
     for (uint64_t s = 0; s < shots; ++s)

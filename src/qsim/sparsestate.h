@@ -29,11 +29,15 @@
  *    single two-way merge (flipping bit q adds/subtracts 2^q, which
  *    preserves order within each of the two bit-q classes), never a
  *    full re-sort.
- *  - normSquared/renormalize/prune/applyPhase and sample's weight
- *    extraction are contiguous passes parallelized on the shared
- *    common/parallel.h pool with the same index-ordered block-reduction
- *    discipline as the dense kernels: results are bit-identical at any
- *    thread count.
+ *  - Every kernel is a serial loop of scalar arithmetic; the two
+ *    engine TUs are compiled without FMA contraction
+ *    (src/qsim/CMakeLists.txt), so results are the same bits at any
+ *    thread count and on any ISA.  Jobs, not kernels, are the unit of
+ *    parallelism: the supports of a Rasengan solve stay small, and a
+ *    job already runs on one pool thread.
+ *    normSquared keeps the dense kernels' association (partial sums
+ *    over fixed 2^14-state blocks, added in index order), so its bits
+ *    match common/parallel.h's reduceBlocks at any support size.
  *  - applyPairRotation can record the index-space structure of the
  *    rotation (scatter + pair indices) into a SparseStepPlan; since
  *    that structure depends only on the support and the transition --
@@ -51,10 +55,10 @@
 #define RASENGAN_QSIM_SPARSESTATE_H
 
 #include <complex>
+#include <utility>
 #include <vector>
 
 #include "common/bitvec.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "qsim/counts.h"
 
@@ -133,20 +137,15 @@ class SparseState
 
     /**
      * Multiply each amplitude by e^{i phase(x)} (diagonal evolution).
-     * @p phase must be safe to call from pool threads (a pure function
-     * of the bitstring); it is invoked exactly once per populated state.
+     * @p phase is invoked exactly once per populated state, in key
+     * order.
      */
     template <typename F>
     void
     applyPhase(F &&phase)
     {
-        const uint64_t n = keys_.size();
-        parallel::parallelFor(
-            0, n, parallel::kDefaultGrain, [&](uint64_t b, uint64_t e) {
-                for (uint64_t i = b; i < e; ++i)
-                    amps_[i] *= std::exp(Complex{0.0, 1.0} *
-                                         phase(keys_[i]));
-            });
+        for (size_t i = 0; i < keys_.size(); ++i)
+            amps_[i] *= std::exp(Complex{0.0, 1.0} * phase(keys_[i]));
     }
 
     /** Sample @p shots outcomes from the Born distribution. */
@@ -165,26 +164,24 @@ class SparseState
     uint64_t supportEpoch_ = 0;
 
     /**
-     * Reused per-rotation scratch (roles, partner indices, merge
-     * buffers): one SparseState applies many rotations back to back, so
-     * keeping these alive avoids an allocation storm on the hot path.
+     * Reused per-rotation scratch (created partners, merge buffers):
+     * one SparseState applies many rotations back to back, so keeping
+     * these alive avoids an allocation storm on the hot path.
      */
     struct Scratch
     {
-        std::vector<uint8_t> role;
-        std::vector<uint32_t> partnerIdx;
         struct Created
         {
             BitVec key;
             uint32_t src;  ///< old index whose rotation creates this key
-            uint8_t side;  ///< 1: created key is the minus member, 2: plus
+            uint32_t slot; ///< index of this key in the merged layout
+            bool isMinus;  ///< the created key is the pair's minus member
         };
         std::vector<Created> created;
         std::vector<uint32_t> oldToNew;
         std::vector<BitVec> nextKeys;
         std::vector<Complex> nextAmps;
         std::vector<std::pair<uint32_t, uint32_t>> pairs;
-        std::vector<uint8_t> keep;
     };
     Scratch scratch_;
 };

@@ -255,23 +255,16 @@ TEST_P(PropertySweep, NoiseFreePurifiedOutputIsFeasible)
     }
 }
 
-TEST_P(PropertySweep, RotationPlansAreTransparent)
+/**
+ * A random ProblemBuilder system on 6 variables with one <= and one >=
+ * row over coefficients in {-1, 0, 1}, so binary slack bits are present
+ * (at most 4 per row: 14 variables in all).  The rows are drawn to hold
+ * at a random assignment, which the builder completes with its slack.
+ */
+problems::Problem
+randomSlackProblem(Rng &rng, const std::string &id)
 {
-    // execute() with rotation plans on must return the direct kernels'
-    // bytes.  The first angle vector records every (segment, input
-    // state), the next two replay those plans at new angles, and the
-    // last (all pi/2) rotates sources to zero, so replays abort on a
-    // prune and fall back.  Instances: a planted system, and a
-    // ProblemBuilder system whose <=/>= rows add binary slack.
-    const int n = 7;
-    PlantedSystem sys = plantSystem(rng, n, 2);
-    problems::QuadraticObjective f(n);
-    for (int i = 0; i < n; ++i)
-        f.addLinear(i, static_cast<double>(rng.uniformInt(1, 9)));
-    std::vector<problems::Problem> instances;
-    instances.emplace_back("planted-plans", "RAND", sys.c, sys.b, f, sys.x0);
-
-    problems::ProblemBuilder builder("builder-plans", "RAND", 6);
+    problems::ProblemBuilder builder(id, "RAND", 6);
     BitVec x0;
     for (int i = 0; i < 6; ++i) {
         builder.objectiveLinear(i, static_cast<double>(rng.uniformInt(1, 9)));
@@ -298,7 +291,61 @@ TEST_P(PropertySweep, RotationPlansAreTransparent)
         else
             builder.addGreaterEqual(terms, lhs - rng.uniformInt(0, 2));
     }
-    instances.push_back(builder.build(x0));
+    return builder.build(x0);
+}
+
+TEST_P(PropertySweep, SparseMatchesDenseOnSlackSystems)
+{
+    // A system with binary slack: its transition chain, applied from the
+    // feasible state with random times, on the sparse engine (pruning
+    // off and at the default threshold) and on a dense statevector
+    // running each transition's circuit.
+    const problems::Problem p = randomSlackProblem(rng, "builder-slack");
+    const int n = p.numVars();
+    ASSERT_LE(n, 14);
+    const core::PipelineArtifacts art =
+        core::buildPipelineArtifacts(p, core::RasenganOptions{});
+    std::vector<double> times;
+    for (size_t k = 0; k < art.chain.steps.size(); ++k)
+        times.push_back(rng.uniformReal(-2.0, 2.0));
+
+    qsim::Statevector dense(n, p.trivialFeasible());
+    for (size_t k = 0; k < times.size(); ++k)
+        dense.applyCircuit(art.transitions[art.chain.steps[k]].toCircuit(
+            n, times[k]));
+    for (double threshold :
+         {0.0, qsim::SparseState::kDefaultPruneThreshold}) {
+        qsim::SparseState sparse(n, p.trivialFeasible());
+        for (size_t k = 0; k < times.size(); ++k)
+            art.transitions[art.chain.steps[k]].applyTo(sparse, times[k],
+                                                        threshold);
+        for (uint64_t idx = 0; idx < (uint64_t{1} << n); ++idx) {
+            const BitVec y = BitVec::fromIndex(idx);
+            ASSERT_NEAR(std::abs(dense.amplitude(y) - sparse.amplitude(y)),
+                        0.0, 1e-9)
+                << "seed " << GetParam() << " n " << n << " threshold "
+                << threshold << " y " << idx;
+        }
+    }
+}
+
+TEST_P(PropertySweep, RotationPlansAreTransparent)
+{
+    // execute() with rotation plans on must return the direct kernels'
+    // bytes.  The first angle vector records every (segment, input
+    // state), the next two replay those plans at new angles, and the
+    // last (all pi/2) rotates sources to zero, so replays abort on a
+    // prune and fall back.  Instances: a planted system, and a
+    // ProblemBuilder system whose <=/>= rows add binary slack.
+    const int n = 7;
+    PlantedSystem sys = plantSystem(rng, n, 2);
+    problems::QuadraticObjective f(n);
+    for (int i = 0; i < n; ++i)
+        f.addLinear(i, static_cast<double>(rng.uniformInt(1, 9)));
+    std::vector<problems::Problem> instances;
+    instances.emplace_back("planted-plans", "RAND", sys.c, sys.b, f, sys.x0);
+
+    instances.push_back(randomSlackProblem(rng, "builder-plans"));
 
     using Execution = core::RasenganOptions::Execution;
     core::PlanStats seen;

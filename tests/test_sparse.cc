@@ -4,8 +4,8 @@
  * (qsim/sparsestate.h) and the rotation-plan cache
  * (qsim/sparseplan.h): cross-validation against a dense reference
  * evolution at 1e-12, prune/renormalize edge cases, key-order
- * invariants of the merge kernels, bit-identical results across thread
- * counts, plan record/replay equivalence including the pruning-forced
+ * invariants of the merge kernels, the blocked summation order of the
+ * norm, plan record/replay equivalence including the pruning-forced
  * invalidation and abort paths, and deterministic Counts serialization.
  */
 
@@ -37,12 +37,6 @@ using qsim::SparseState;
 using Complex = SparseState::Complex;
 
 constexpr double kPi = std::numbers::pi;
-
-/** RAII: restore the env-derived thread configuration on scope exit. */
-struct ThreadGuard
-{
-    ~ThreadGuard() { parallel::setThreadCount(0); }
-};
 
 /** Random transition vector with entries in {-1, 0, 1}, not all zero. */
 linalg::IntVec
@@ -235,41 +229,38 @@ TEST(SparseState, FromSortedRejectsUnsortedKeys)
                  "");
 }
 
-TEST(SparseState, ResultsAreBitIdenticalAcrossThreadCounts)
+TEST(SparseState, NormSquaredSumsFixedBlocksInIndexOrder)
 {
-    ThreadGuard guard;
-    problems::Problem p = problems::makeBenchmark("J1");
-    auto transitions = core::makeTransitions(core::homogeneousBasis(p));
-
-    std::vector<BitVec> ref_keys;
-    std::vector<Complex> ref_amps;
-    qsim::Counts ref_counts;
-    for (int tc : {1, 2, 7}) {
-        parallel::setThreadCount(tc);
-        SparseState s(p.numVars(), p.trivialFeasible());
-        Rng rng(5);
-        for (int round = 0; round < 3; ++round)
-            for (const auto &tau : transitions)
-                tau.applyTo(s, rng.uniformReal(0.1, 1.4));
-        s.renormalize();
-        qsim::Counts counts = s.sample(rng, 2000);
-        if (tc == 1) {
-            ref_keys = s.keys();
-            ref_amps = s.amps();
-            ref_counts = counts;
-            continue;
-        }
-        ASSERT_EQ(s.keys().size(), ref_keys.size()) << "threads=" << tc;
-        EXPECT_TRUE(std::equal(ref_keys.begin(), ref_keys.end(),
-                               s.keys().begin()))
-            << "threads=" << tc;
-        EXPECT_EQ(std::memcmp(s.amps().data(), ref_amps.data(),
-                              ref_amps.size() * sizeof(Complex)),
-                  0)
-            << "threads=" << tc;
-        EXPECT_EQ(counts.sorted(), ref_counts.sorted())
-            << "threads=" << tc;
+    // Past one 2^14-state block the association of the sum shows in the
+    // bits.  normSquared must add per-block partials in index order --
+    // the dense kernels' reduceBlocks association -- at any support size.
+    const size_t n = 40000;
+    Rng rng(41);
+    std::vector<BitVec> keys;
+    std::vector<Complex> amps;
+    for (size_t i = 0; i < n; ++i) {
+        keys.push_back(BitVec::fromIndex(3 * i + 1));
+        amps.emplace_back(rng.normal(), rng.normal());
     }
+    double blocked = 0.0;
+    for (size_t lo = 0; lo < n; lo += parallel::kReduceBlock) {
+        double block = 0.0;
+        for (size_t i = lo; i < std::min(lo + parallel::kReduceBlock, n);
+             ++i)
+            block += std::norm(amps[i]);
+        blocked += block;
+    }
+    double flat = 0.0;
+    for (const Complex &a : amps)
+        flat += std::norm(a);
+    // A flat sum of the same data rounds differently, so a change of
+    // association cannot pass unnoticed.
+    ASSERT_NE(std::memcmp(&flat, &blocked, sizeof(double)), 0);
+
+    SparseState s = SparseState::fromSorted(64, keys, amps);
+    const double got = s.normSquared();
+    EXPECT_EQ(std::memcmp(&got, &blocked, sizeof(double)), 0)
+        << got << " vs " << blocked;
 }
 
 /** Record a plan over a few transitions of the J1 basis. */
