@@ -33,7 +33,6 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/rasengan.h"
 #include "obs/flight.h"
@@ -397,15 +396,11 @@ main()
     std::printf("obs overhead bench: %d repeats%s\n\n", repeats,
                 fast ? " (fast mode)" : "");
 
-    parallel::setThreadCount(1); // single thread: cleanest timing
-
     const double perCallNs = benchDisabledCall(repeats);
     const double disabledPct =
         benchKernelWorkload(repeats, fast ? 1000 : 4000, perCallNs);
     benchSolverTrace(repeats);
     const double flightPct = benchFlightOverhead(repeats);
-
-    parallel::setThreadCount(0);
 
     const char *env = std::getenv("RASENGAN_BENCH_JSON");
     writeJson(env && *env ? env : "BENCH_obs.json");

@@ -35,7 +35,6 @@
 #include "bench_util.h"
 #include "circuit/fusion.h"
 #include "circuit/gatematrix.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "qsim/simd.h"
 #include "qsim/statevector.h"
@@ -235,10 +234,6 @@ main()
     const bool fast = bench::fastMode();
     const int repeats = fast ? 5 : 7;
     const int n_dense = fast ? 16 : 20;
-
-    // Kernel-level A/B wants a pure single-threaded comparison; the
-    // deterministic blocking makes thread count orthogonal to ISA.
-    parallel::setThreadCount(1);
 
     std::printf("simd bench: best ISA %s, %d dense qubits, %d repeats%s\n",
                 qsim::simdIsaName(qsim::simdBestIsa()), n_dense, repeats,

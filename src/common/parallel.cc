@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -32,10 +31,9 @@ resolveThreadCount(int requested)
 }
 
 /**
- * The global pool.  Workers park on a condition variable between jobs;
- * each job assigns worker w the chunk ranges_[w + 1] (the caller runs
- * ranges_[0]), so the work assignment is static and lock-free during
- * execution.
+ * The global job pool.  Workers park on a condition variable between
+ * runs; a run wakes every worker, and each lane (the caller included)
+ * executes the same claim loop until the shared work list is empty.
  */
 class Pool
 {
@@ -59,31 +57,28 @@ class Pool
     }
 
     /**
-     * Run @p fn over the chunk list @p ranges (ranges.size() >= 1).
-     * The caller executes ranges[0]; workers 0..ranges.size()-2 execute
-     * the rest.  Returns after every chunk completed.
+     * Run @p loop on the caller and on every worker; returns after
+     * every lane returned.
      */
     void
-    run(const std::function<void(uint64_t, uint64_t)> &fn,
-        std::vector<std::pair<uint64_t, uint64_t>> ranges)
+    run(const std::function<void()> &loop)
     {
         std::lock_guard<std::mutex> serial(runMutex_);
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            fn_ = &fn;
-            ranges_ = std::move(ranges);
-            pending_ = static_cast<int>(ranges_.size()) - 1;
+            loop_ = &loop;
+            pending_ = static_cast<int>(workers_.size());
             ++generation_;
         }
         wake_.notify_all();
 
         tls_in_parallel = true;
-        (*fn_)(ranges_[0].first, ranges_[0].second);
+        loop();
         tls_in_parallel = false;
 
         std::unique_lock<std::mutex> lock(mutex_);
         done_.wait(lock, [this] { return pending_ == 0; });
-        fn_ = nullptr;
+        loop_ = nullptr;
     }
 
   private:
@@ -100,7 +95,7 @@ class Pool
         // first wake only fires on the next run().
         const uint64_t gen = generation_;
         for (int w = 0; w < size_ - 1; ++w)
-            workers_.emplace_back([this, w, gen] { workerLoop(w, gen); });
+            workers_.emplace_back([this, gen] { workerLoop(gen); });
     }
 
     void
@@ -114,17 +109,15 @@ class Pool
         for (std::thread &t : workers_)
             t.join();
         workers_.clear();
-        // All workers are joined: drop the stale job so nothing dangles.
-        fn_ = nullptr;
-        ranges_.clear();
+        // All workers are joined: drop the stale run so nothing dangles.
+        loop_ = nullptr;
     }
 
     void
-    workerLoop(int index, uint64_t seen)
+    workerLoop(uint64_t seen)
     {
         for (;;) {
-            std::pair<uint64_t, uint64_t> range{0, 0};
-            const std::function<void(uint64_t, uint64_t)> *fn = nullptr;
+            const std::function<void()> *loop = nullptr;
             {
                 std::unique_lock<std::mutex> lock(mutex_);
                 wake_.wait(lock, [&] {
@@ -133,14 +126,10 @@ class Pool
                 if (shutdown_)
                     return;
                 seen = generation_;
-                size_t slot = static_cast<size_t>(index) + 1;
-                if (slot >= ranges_.size())
-                    continue; // more workers than chunks this round
-                range = ranges_[slot];
-                fn = fn_;
+                loop = loop_;
             }
             tls_in_parallel = true;
-            (*fn)(range.first, range.second);
+            (*loop)();
             tls_in_parallel = false;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
@@ -156,8 +145,7 @@ class Pool
     std::condition_variable wake_;
     std::condition_variable done_;
     std::vector<std::thread> workers_;
-    const std::function<void(uint64_t, uint64_t)> *fn_ = nullptr;
-    std::vector<std::pair<uint64_t, uint64_t>> ranges_;
+    const std::function<void()> *loop_ = nullptr;
     uint64_t generation_ = 0;
     int pending_ = 0;
     int size_ = 1;
@@ -187,58 +175,26 @@ inParallelRegion()
 }
 
 void
-parallelFor(uint64_t begin, uint64_t end, uint64_t grain,
-            const std::function<void(uint64_t, uint64_t)> &fn)
-{
-    if (begin >= end)
-        return;
-    const uint64_t n = end - begin;
-    if (grain == 0)
-        grain = 1;
-    Pool &pool = Pool::instance();
-    uint64_t chunks = std::min<uint64_t>(pool.size(), n / grain);
-    if (chunks <= 1 || tls_in_parallel) {
-        fn(begin, end);
-        return;
-    }
-    std::vector<std::pair<uint64_t, uint64_t>> ranges;
-    ranges.reserve(chunks);
-    for (uint64_t c = 0; c < chunks; ++c) {
-        uint64_t lo = begin + n * c / chunks;
-        uint64_t hi = begin + n * (c + 1) / chunks;
-        ranges.emplace_back(lo, hi);
-    }
-    pool.run(fn, std::move(ranges));
-}
-
-void
 parallelForDynamic(uint64_t begin, uint64_t end,
                    const std::function<void(uint64_t)> &fn)
 {
     if (begin >= end)
         return;
-    const uint64_t n = end - begin;
     Pool &pool = Pool::instance();
-    uint64_t lanes = std::min<uint64_t>(pool.size(), n);
-    if (lanes <= 1 || tls_in_parallel) {
+    if (pool.size() <= 1 || end - begin <= 1 || tls_in_parallel) {
         for (uint64_t i = begin; i < end; ++i)
             fn(i);
         return;
     }
     std::atomic<uint64_t> next{begin};
-    // Every lane runs the same claim loop; the range arguments carry no
-    // information (the shared counter is the work list).
-    auto claimLoop = [&](uint64_t, uint64_t) {
+    pool.run([&] {
         for (;;) {
             uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= end)
                 return;
             fn(i);
         }
-    };
-    std::vector<std::pair<uint64_t, uint64_t>> ranges(
-        lanes, std::pair<uint64_t, uint64_t>{0, 0});
-    pool.run(claimLoop, std::move(ranges));
+    });
 }
 
 double
@@ -249,20 +205,11 @@ reduceBlocks(uint64_t begin, uint64_t end, uint64_t block,
         return 0.0;
     if (block == 0)
         block = 1;
-    const uint64_t nblocks = (end - begin + block - 1) / block;
-    if (nblocks == 1)
+    if (end - begin <= block)
         return fn(begin, end);
-    std::vector<double> partial(nblocks);
-    parallelFor(0, nblocks, 1, [&](uint64_t b0, uint64_t b1) {
-        for (uint64_t b = b0; b < b1; ++b) {
-            uint64_t lo = begin + b * block;
-            uint64_t hi = std::min(lo + block, end);
-            partial[b] = fn(lo, hi);
-        }
-    });
     double acc = 0.0;
-    for (double p : partial)
-        acc += p;
+    for (uint64_t lo = begin; lo < end; lo += block)
+        acc += fn(lo, std::min(lo + block, end));
     return acc;
 }
 
@@ -275,20 +222,11 @@ reduceBlocksComplex(uint64_t begin, uint64_t end, uint64_t block,
         return {0.0, 0.0};
     if (block == 0)
         block = 1;
-    const uint64_t nblocks = (end - begin + block - 1) / block;
-    if (nblocks == 1)
+    if (end - begin <= block)
         return fn(begin, end);
-    std::vector<std::complex<double>> partial(nblocks);
-    parallelFor(0, nblocks, 1, [&](uint64_t b0, uint64_t b1) {
-        for (uint64_t b = b0; b < b1; ++b) {
-            uint64_t lo = begin + b * block;
-            uint64_t hi = std::min(lo + block, end);
-            partial[b] = fn(lo, hi);
-        }
-    });
     std::complex<double> acc{0.0, 0.0};
-    for (const std::complex<double> &p : partial)
-        acc += p;
+    for (uint64_t lo = begin; lo < end; lo += block)
+        acc += fn(lo, std::min(lo + block, end));
     return acc;
 }
 

@@ -1,21 +1,21 @@
 /**
  * @file
- * Deterministic parallelism substrate: a fixed-size thread pool with
- * static partitioning.
+ * Deterministic parallelism substrate: one job-level thread pool plus
+ * serial blocked reductions.
  *
- * Design goals, in order:
- *  1. Bit-identical results at every thread count.  parallelFor only
- *     runs callables whose iterations write disjoint data, so the
- *     thread count merely reschedules work.  Floating-point reductions
- *     go through reduceBlocks/reduceBlocksComplex, which sum fixed-size
- *     blocks and combine the partials in index order -- the association
- *     of the additions depends on the block size only, never on the
- *     thread count (including the serial case).
- *  2. No oversubscription: one global pool, lazily created.  A region
- *     already executing inside the pool (or inside a parallelFor on the
- *     caller thread) runs nested parallelFor calls serially.
- *  3. Cheap opt-out: ranges smaller than the grain never touch the
- *     pool, so sub-threshold statevectors keep their scalar hot loops.
+ * Jobs are the only unit of parallelism.  The pool serves
+ * parallelForDynamic, which hands whole independent work items (the
+ * batch scheduler's solve jobs) to its lanes; the simulators inside a
+ * job run serial loops.
+ *
+ *  1. Bit-identical results at every thread count.  Each work item
+ *     writes only its own data and seeds only from its content, so the
+ *     thread count merely reschedules items.  Floating-point sums go
+ *     through reduceBlocks/reduceBlocksComplex, which add fixed-size
+ *     block partials in index order, so their association depends on
+ *     the block size only.
+ *  2. No oversubscription: one global pool, lazily created.  A
+ *     parallelForDynamic issued from inside a pool task runs serially.
  *
  * Thread count resolution (first use, or setThreadCount):
  *   explicit setThreadCount(n > 0)  >  RASENGAN_THREADS env  >
@@ -30,9 +30,6 @@
 #include <functional>
 
 namespace rasengan::parallel {
-
-/** Default iterations per chunk below which a range stays serial. */
-constexpr uint64_t kDefaultGrain = uint64_t{1} << 12;
 
 /** Fixed reduction block size; determines the summation association. */
 constexpr uint64_t kReduceBlock = uint64_t{1} << 14;
@@ -52,35 +49,24 @@ void setThreadCount(int n);
 bool inParallelRegion();
 
 /**
- * Execute @p fn over [begin, end) split into at most threadCount()
- * contiguous chunks of at least @p grain iterations each.  @p fn is
- * called as fn(chunk_begin, chunk_end) and must only write data that
- * no other chunk writes.  Runs serially when the range is small, the
- * pool has one thread, or the caller is already inside a pool task.
- */
-void parallelFor(uint64_t begin, uint64_t end, uint64_t grain,
-                 const std::function<void(uint64_t, uint64_t)> &fn);
-
-/**
  * Execute @p fn(i) once for every i in [begin, end), distributing the
  * indices dynamically: workers claim the next unprocessed index from a
  * shared atomic counter, so long-running items do not stall the rest of
- * the batch behind a static partition.  Intended for coarse,
- * independent work items (e.g. whole solve jobs); each invocation must
- * only write data no other invocation writes.  Which thread runs which
- * index is nondeterministic -- callers needing reproducible output must
- * make each item's result independent of scheduling (the serve layer
- * does this with per-item seeds).  Runs serially when the pool has one
- * thread or the caller is already inside a pool task.
+ * the batch.  Intended for coarse, independent work items (whole solve
+ * jobs); each invocation must only write data no other invocation
+ * writes.  Which thread runs which index is nondeterministic -- callers
+ * needing reproducible output must make each item's result independent
+ * of scheduling (the serve layer does this with per-item seeds).  Runs
+ * serially when the pool has one thread or the caller is already inside
+ * a pool task.
  */
 void parallelForDynamic(uint64_t begin, uint64_t end,
                         const std::function<void(uint64_t)> &fn);
 
 /**
- * Deterministic parallel sum: partition [begin, end) into fixed
- * @p block -sized blocks, evaluate @p fn(block_begin, block_end) for
- * each, and combine the per-block partials in index order.  The result
- * is bit-identical for every thread count.
+ * Blocked sum: partition [begin, end) into fixed @p block -sized
+ * blocks, evaluate @p fn(block_begin, block_end) for each, and add the
+ * per-block partials in index order.  Runs on the calling thread.
  */
 double reduceBlocks(uint64_t begin, uint64_t end, uint64_t block,
                     const std::function<double(uint64_t, uint64_t)> &fn);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -61,8 +60,6 @@ ResilientExecutor::ResilientExecutor(ResilienceOptions options)
     : options_(options), breaker_(options.breaker),
       jitterRng_(options.jitterSeed)
 {
-    if (options_.threads > 0)
-        parallel::setThreadCount(options_.threads);
     if (options_.wallClock)
         clock_ = std::make_unique<WallClock>();
     else

@@ -54,11 +54,9 @@ struct ResilienceOptions
     uint64_t jitterSeed = 0x8ACC0FF;  ///< backoff jitter stream
     bool wallClock = false;      ///< real sleeps instead of virtual time
     /**
-     * Simulation thread count for the jobs this executor runs
-     * (common/parallel.h pool).  0 keeps the current/env-derived
-     * configuration; > 0 reconfigures the pool (the CLI --threads flag
-     * and the bench harnesses route through this).  Results are
-     * bit-identical at every setting.
+     * Unread: the simulators run serial loops, so a single solve has
+     * no threads to set.  Kept only because the end-to-end harness
+     * still assigns it; deleted together with that assignment.
      */
     int threads = 0;
     /**

@@ -9,8 +9,9 @@
  *  1. Determinism.  The *span tree* (category, name, parentage) of an
  *     instrumented run must be identical at every thread count, so
  *     spans are only opened at call sites whose execution count is
- *     thread-invariant -- never inside parallelFor chunk callbacks
- *     (chunk counts vary with the pool size).  spanTreeSignature()
+ *     thread-invariant: a job's own spans (it runs on one thread) and
+ *     the per-job spans of the job pool, which name their batch parent
+ *     explicitly.  spanTreeSignature()
  *     renders the forest into a canonical, timestamp- and thread-free
  *     string for byte-comparison across thread counts.
  *

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 
 namespace rasengan::qsim {
 
@@ -113,11 +112,8 @@ DensityMatrix::applyKraus1q(int target, const std::vector<Mat2> &kraus)
             // Element-wise accumulation through the amplitude vector.
             auto &out = acc.mutableAmplitudes();
             const auto &b = branch.amplitudes();
-            parallel::parallelFor(0, out.size(), parallel::kDefaultGrain,
-                                  [&](uint64_t i0, uint64_t i1) {
-                                      for (uint64_t i = i0; i < i1; ++i)
-                                          out[i] += b[i];
-                                  });
+            for (size_t i = 0; i < out.size(); ++i)
+                out[i] += b[i];
         }
     }
     vec_ = std::move(acc);

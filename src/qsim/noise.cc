@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 
 namespace rasengan::qsim {
 
@@ -133,38 +132,30 @@ sampleNoisy(const circuit::Circuit &circ, int num_qubits, const BitVec &init,
     }
     int runs = static_cast<int>(
         std::min<uint64_t>(shots, std::max(trajectories, 1)));
-    // Trajectories are embarrassingly parallel.  Child seeds are drawn
-    // from the caller's rng *up front*, in trajectory order, so the
-    // caller's stream advances identically at any thread count and each
-    // trajectory owns an independent deterministic stream (the seed
-    // tree described in DESIGN.md).
+    // Child seeds are drawn from the caller's rng *up front*, in
+    // trajectory order, so each trajectory owns an independent
+    // deterministic stream (the seed tree described in DESIGN.md).
     std::vector<uint64_t> traj_seeds(runs), sample_seeds(runs);
     for (int r = 0; r < runs; ++r) {
         traj_seeds[r] = rng.engine()();
         sample_seeds[r] = rng.engine()();
     }
-    std::vector<Counts> parts(runs);
-    parallel::parallelFor(0, static_cast<uint64_t>(runs), 1,
-                          [&](uint64_t r0, uint64_t r1) {
-        for (uint64_t r = r0; r < r1; ++r) {
-            uint64_t slice = shots / runs +
-                             (r < shots % runs ? 1 : 0);
-            if (slice == 0)
-                continue;
-            Rng traj_rng(traj_seeds[r]);
-            Statevector sv =
-                runTrajectory(circ, num_qubits, init, noise, traj_rng);
-            Rng sample_rng(sample_seeds[r]);
-            parts[r] = sv.sample(sample_rng, slice, num_bits);
-        }
-    });
     // Merge in trajectory order: the histogram content is
     // order-independent, but the *insertion* order fixes the map
     // iteration order that applyReadoutError consumes rng draws in.
     Counts counts;
-    for (const Counts &part : parts)
+    for (uint64_t r = 0; r < static_cast<uint64_t>(runs); ++r) {
+        uint64_t slice = shots / runs + (r < shots % runs ? 1 : 0);
+        if (slice == 0)
+            continue;
+        Rng traj_rng(traj_seeds[r]);
+        Statevector sv =
+            runTrajectory(circ, num_qubits, init, noise, traj_rng);
+        Rng sample_rng(sample_seeds[r]);
+        const Counts part = sv.sample(sample_rng, slice, num_bits);
         for (const auto &[outcome, n] : part.map())
             counts.add(outcome, n);
+    }
     return applyReadoutError(counts, num_bits, noise.readoutError, rng);
 }
 

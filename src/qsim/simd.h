@@ -13,8 +13,7 @@
  * per-ISA translation units so each can be compiled with its own
  * codegen flags without perturbing the rest of the build.
  *
- * Determinism contract.  Results are bit-identical across ISAs and
- * thread counts:
+ * Determinism contract.  Results are bit-identical across ISAs:
  *
  *  - every arm performs the *same IEEE-754 operations in the same
  *    per-element association* as the scalar reference
@@ -23,10 +22,7 @@
  *    -ffp-contract=off so the compiler cannot contract on targets
  *    where fused multiply-add is baseline, e.g. aarch64);
  *  - transcendental factors (the sin/cos inside e^{i*angle}) are always
- *    produced by the same scalar libm calls, in every arm;
- *  - kernels slot *beneath* the deterministic parallel-for blocking
- *    (common/parallel.h): they receive chunk ranges and write disjoint
- *    data, so the thread count only reschedules identical work.
+ *    produced by the same scalar libm calls, in every arm.
  *
  * Selection: RASENGAN_SIMD=auto|avx2|neon|scalar (default auto = best
  * ISA the build and the CPU both support), overridable at runtime with
@@ -64,7 +60,7 @@ const char *simdIsaName(SimdIsa isa);
 /**
  * The per-ISA kernel table.  All Complex arrays are the engines' native
  * interleaved std::complex<double> storage; every function operates on
- * an explicit index range so it can run under a parallelFor chunk.
+ * an explicit index range.
  */
 struct SimdKernels
 {
@@ -76,10 +72,10 @@ struct SimdKernels
     /**
      * Dense pair rotation over a contiguous run: for j in [0, len),
      * rotate the amplitude pair (amps[base+j], amps[base+j+bit]) by the
-     * 2x2 unitary @p u.  The dense engine decomposes the compact pair
-     * index space into such runs (run length 2^target, clipped to the
-     * parallel-for chunk); the controlled kernel feeds it the maximal
-     * contiguous segments of control-satisfying bases.
+     * 2x2 unitary @p u.  The dense engine decomposes the pair index
+     * space into such runs (run length 2^target); the controlled kernel
+     * feeds it the maximal contiguous segments of control-satisfying
+     * bases.
      */
     void (*pairRotateStrided)(Complex *amps, uint64_t base, uint64_t len,
                               uint64_t bit, const Mat2 &u);

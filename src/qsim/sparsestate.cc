@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "obs/prof.h"
 #include "qsim/sparseplan.h"
 
@@ -15,13 +16,6 @@ constexpr SparseState::Complex kI{0.0, 1.0};
 
 /** Pair-plan indices are 32-bit; a support must leave room for them. */
 constexpr uint64_t kMaxSupport = UINT32_MAX / 2;
-
-/**
- * normSquared's summation block: partial sums over 2^14 states, added
- * in index order.  This is common/parallel.h's kReduceBlock, the
- * association the engine's norms have always had.
- */
-constexpr uint64_t kNormBlock = uint64_t{1} << 14;
 
 } // namespace
 
@@ -97,16 +91,17 @@ SparseState::probability(const BitVec &basis) const
 double
 SparseState::normSquared() const
 {
-    const size_t n = amps_.size();
-    double total = 0.0;
-    for (size_t lo = 0; lo < n; lo += kNormBlock) {
-        const size_t hi = std::min<size_t>(lo + kNormBlock, n);
-        double block = 0.0;
-        for (size_t i = lo; i < hi; ++i)
-            block += std::norm(amps_[i]);
-        total += block;
-    }
-    return total;
+    // The dense engine's association: 2^14-state block partials added
+    // in index order.  The per-block sum stays in this TU, which is
+    // compiled without FMA contraction.
+    return parallel::reduceBlocks(
+        0, amps_.size(), parallel::kReduceBlock,
+        [this](uint64_t lo, uint64_t hi) {
+            double acc = 0.0;
+            for (uint64_t i = lo; i < hi; ++i)
+                acc += std::norm(amps_[i]);
+            return acc;
+        });
 }
 
 void

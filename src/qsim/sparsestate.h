@@ -35,9 +35,9 @@
  *    thread count and on any ISA.  Jobs, not kernels, are the unit of
  *    parallelism: the supports of a Rasengan solve stay small, and a
  *    job already runs on one pool thread.
- *    normSquared keeps the dense kernels' association (partial sums
- *    over fixed 2^14-state blocks, added in index order), so its bits
- *    match common/parallel.h's reduceBlocks at any support size.
+ *    normSquared sums through common/parallel.h's reduceBlocks, as
+ *    the dense engine does (partial sums over fixed 2^14-state blocks,
+ *    added in index order).
  *  - applyPairRotation can record the index-space structure of the
  *    rotation (scatter + pair indices) into a SparseStepPlan; since
  *    that structure depends only on the support and the transition --

@@ -15,10 +15,6 @@ namespace {
 
 constexpr Complex kI{0.0, 1.0};
 
-/** Grain for the gate kernels: states below ~2^14 amplitudes stay on
- *  the scalar path (pool dispatch would dominate). */
-constexpr uint64_t kGateGrain = parallel::kDefaultGrain;
-
 /** Minimum circuit size for which fusing pays off. */
 constexpr size_t kFusionMinGates = 4;
 
@@ -75,11 +71,8 @@ Statevector::renormalize()
     double n2 = normSquared();
     panic_if(n2 < 1e-300, "renormalizing a zero state");
     const double inv = 1.0 / std::sqrt(n2);
-    parallel::parallelFor(0, amps_.size(), kGateGrain,
-                          [&](uint64_t lo, uint64_t hi) {
-                              for (uint64_t i = lo; i < hi; ++i)
-                                  amps_[i] *= inv;
-                          });
+    for (Complex &a : amps_)
+        a *= inv;
 }
 
 Complex
@@ -103,30 +96,17 @@ Statevector::apply1q(int target, const Mat2 &u)
 {
     checkQubit(target);
     const uint64_t bit = uint64_t{1} << target;
-    const uint64_t low = bit - 1;
-    const uint64_t pairs = amps_.size() >> 1;
     const SimdKernels &kern = simdKernels();
     if (target == 0) {
         // Pairs (2h, 2h+1) are adjacent in memory.
-        parallel::parallelFor(0, pairs, kGateGrain,
-                              [&](uint64_t h0, uint64_t h1) {
-            kern.pairRotateAdjacent(amps_.data(), h0, h1, u);
-        });
+        kern.pairRotateAdjacent(amps_.data(), 0, amps_.size() >> 1, u);
         return;
     }
-    // The compact pair space decomposes into runs of 2^target
-    // consecutive h mapping to consecutive bases; feed each run
-    // (clipped to the chunk) to the strided kernel.
-    parallel::parallelFor(0, pairs, kGateGrain,
-                          [&](uint64_t h0, uint64_t h1) {
-        uint64_t h = h0;
-        while (h < h1) {
-            const uint64_t run_end = std::min(h1, (h | low) + 1);
-            kern.pairRotateStrided(amps_.data(), expandIndex(h, low),
-                                   run_end - h, bit, u);
-            h = run_end;
-        }
-    });
+    // The pairs decompose into runs of 2^target consecutive bases (bit
+    // clear), one run every 2^(target+1) amplitudes; feed each run to
+    // the strided kernel.
+    for (uint64_t base = 0; base < amps_.size(); base += 2 * bit)
+        kern.pairRotateStrided(amps_.data(), base, bit, bit, u);
 }
 
 void
@@ -151,32 +131,29 @@ Statevector::applyControlled1q(const std::vector<int> &controls, int target,
     // Accumulate maximal contiguous control-satisfying base segments
     // (contiguity breaks at run boundaries, where bases jump) and hand
     // each to the strided kernel.
-    parallel::parallelFor(0, pairs, kGateGrain,
-                          [&](uint64_t h0, uint64_t h1) {
-        uint64_t seg_base = 0;
-        uint64_t seg_len = 0;
-        auto flush = [&]() {
-            if (seg_len != 0)
-                kern.pairRotateStrided(amps_.data(), seg_base, seg_len,
-                                       bit, u);
-            seg_len = 0;
-        };
-        for (uint64_t h = h0; h < h1; ++h) {
-            uint64_t base = expandIndex(h, low);
-            if ((base & cmask) != cmask) {
-                flush();
-                continue;
-            }
-            if (seg_len != 0 && base == seg_base + seg_len) {
-                ++seg_len;
-            } else {
-                flush();
-                seg_base = base;
-                seg_len = 1;
-            }
+    uint64_t seg_base = 0;
+    uint64_t seg_len = 0;
+    auto flush = [&]() {
+        if (seg_len != 0)
+            kern.pairRotateStrided(amps_.data(), seg_base, seg_len, bit,
+                                   u);
+        seg_len = 0;
+    };
+    for (uint64_t h = 0; h < pairs; ++h) {
+        uint64_t base = expandIndex(h, low);
+        if ((base & cmask) != cmask) {
+            flush();
+            continue;
         }
-        flush();
-    });
+        if (seg_len != 0 && base == seg_base + seg_len) {
+            ++seg_len;
+        } else {
+            flush();
+            seg_base = base;
+            seg_len = 1;
+        }
+    }
+    flush();
 }
 
 void
@@ -188,18 +165,13 @@ Statevector::applySwap(int a, int b)
         return;
     const uint64_t bit_a = uint64_t{1} << a;
     const uint64_t bit_b = uint64_t{1} << b;
-    // Each index with a=1,b=0 swaps with its a=0,b=1 partner; every
-    // element belongs to at most one such pair, so chunks never write
-    // each other's data even though partners cross chunk boundaries.
-    parallel::parallelFor(0, amps_.size(), kGateGrain,
-                          [&](uint64_t i0, uint64_t i1) {
-        for (uint64_t i = i0; i < i1; ++i) {
-            bool va = i & bit_a;
-            bool vb = i & bit_b;
-            if (va && !vb)
-                std::swap(amps_[i], amps_[(i ^ bit_a) | bit_b]);
-        }
-    });
+    // Each index with a=1,b=0 swaps with its a=0,b=1 partner.
+    for (uint64_t i = 0; i < amps_.size(); ++i) {
+        bool va = i & bit_a;
+        bool vb = i & bit_b;
+        if (va && !vb)
+            std::swap(amps_[i], amps_[(i ^ bit_a) | bit_b]);
+    }
 }
 
 void
@@ -275,12 +247,8 @@ Statevector::applyDiagonalTerms(const std::vector<circuit::DiagTerm> &terms)
 {
     if (terms.empty())
         return;
-    const SimdKernels &kern = simdKernels();
-    parallel::parallelFor(0, amps_.size(), kGateGrain,
-                          [&](uint64_t i0, uint64_t i1) {
-        kern.diagonalTerms(amps_.data(), terms.data(), terms.size(), i0,
-                           i1);
-    });
+    simdKernels().diagonalTerms(amps_.data(), terms.data(), terms.size(),
+                                0, amps_.size());
 }
 
 void
@@ -314,12 +282,8 @@ Statevector::applyDiagonalEvolution(const std::vector<double> &values,
     fatal_if(values.size() != amps_.size(),
              "diagonal has {} entries, state has {}", values.size(),
              amps_.size());
-    const SimdKernels &kern = simdKernels();
-    parallel::parallelFor(0, amps_.size(), kGateGrain,
-                          [&](uint64_t i0, uint64_t i1) {
-        kern.diagonalEvolution(amps_.data(), values.data(), scale, i0,
-                               i1);
-    });
+    simdKernels().diagonalEvolution(amps_.data(), values.data(), scale, 0,
+                                    amps_.size());
 }
 
 Counts
@@ -329,11 +293,8 @@ Statevector::sample(Rng &rng, uint64_t shots, int num_bits) const
     if (num_bits < 0)
         num_bits = numQubits_;
     std::vector<double> weights(amps_.size());
-    parallel::parallelFor(0, amps_.size(), kGateGrain,
-                          [&](uint64_t i0, uint64_t i1) {
-                              for (uint64_t i = i0; i < i1; ++i)
-                                  weights[i] = std::norm(amps_[i]);
-                          });
+    for (uint64_t i = 0; i < amps_.size(); ++i)
+        weights[i] = std::norm(amps_[i]);
     double total = parallel::reduceBlocks(
         0, weights.size(), parallel::kReduceBlock,
         [&](uint64_t lo, uint64_t hi) {
@@ -379,14 +340,11 @@ Statevector::measureQubit(int q, Rng &rng)
     double p1 = probabilityOfOne(q);
     bool outcome = rng.bernoulli(p1);
     const uint64_t bit = uint64_t{1} << q;
-    parallel::parallelFor(0, amps_.size(), kGateGrain,
-                          [&](uint64_t i0, uint64_t i1) {
-        for (uint64_t i = i0; i < i1; ++i) {
-            bool is_one = i & bit;
-            if (is_one != outcome)
-                amps_[i] = 0.0;
-        }
-    });
+    for (uint64_t i = 0; i < amps_.size(); ++i) {
+        bool is_one = i & bit;
+        if (is_one != outcome)
+            amps_[i] = 0.0;
+    }
     renormalize();
     return outcome;
 }

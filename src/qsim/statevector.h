@@ -10,9 +10,9 @@
  *
  * Performance substrate:
  *  - every O(2^n) kernel (gate application, norms, inner products,
- *    collapse) runs on the deterministic thread pool (common/parallel.h)
- *    above a size threshold; results are bit-identical at any thread
- *    count (reductions use fixed-block summation);
+ *    collapse) is a serial loop on the calling thread; jobs, not
+ *    kernels, are the unit of parallelism.  Sums add fixed 2^14-element
+ *    block partials in index order (common/parallel.h reduceBlocks);
  *  - applyCircuit transparently routes measurement-free circuits through
  *    the gate-fusion pass (circuit/fusion.h) when fusion is enabled;
  *  - sample() builds an O(dim) alias table and draws each shot in O(1)

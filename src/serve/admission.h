@@ -50,8 +50,10 @@ struct AdmissionLimits
  */
 struct ServiceOptions
 {
-    /** Simulation pool threads, applied once before jobs run; 0 keeps
-     *  the current (RASENGAN_THREADS / hardware) configuration. */
+    /** Job-pool threads, applied once by the batch scheduler before
+     *  jobs run; 0 keeps the current (RASENGAN_THREADS / hardware)
+     *  configuration.  The daemon runs one job at a time and ignores
+     *  it. */
     int threads = 0;
     /** Mixed into every job's child seed; same batch seed + same
      *  requests -> same results. */

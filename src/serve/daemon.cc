@@ -16,7 +16,6 @@
 
 #include "common/build_info.h"
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -378,9 +377,6 @@ Daemon::start(std::string *error)
     }
     setNonBlocking(controlPipe_[0]);
     setNonBlocking(controlPipe_[1]);
-
-    if (options_.threads > 0)
-        parallel::setThreadCount(options_.threads);
 
     for (QueuedJob &job : replayJobs) {
         statReplayed_.fetch_add(1, std::memory_order_relaxed);

@@ -13,8 +13,10 @@
  *    single-threaded by construction.
  *
  *  - The *worker thread* pops jobs in priority/EDF order (serve/slo)
- *    and runs them serially through serve::JobRunner; each job is
- *    internally parallel across the simulation pool.  Completions are
+ *    and runs them one at a time through serve::JobRunner; the
+ *    simulators inside a job run serial loops, so --threads has no
+ *    effect here until the daemon runs jobs on the batch scheduler's
+ *    job pool.  Completions are
  *    handed back to the IO thread through a queue plus a wake byte on
  *    the self-pipe.
  *

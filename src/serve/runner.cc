@@ -106,9 +106,6 @@ makeResilience(const JobRequest &req, uint64_t child_seed,
     r.retry.maxAttempts = req.maxAttempts;
     r.jitterSeed = mixSeed(child_seed ^ 0x8ACC0FF);
     r.wallClock = false; // virtual backoff: no timing nondeterminism
-    // CRITICAL: jobs run inside a pool task; reconfiguring the pool
-    // from there panics.  The scheduler sets the thread count once.
-    r.threads = 0;
     r.cancel = cancel;
     return r;
 }

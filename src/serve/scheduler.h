@@ -1,8 +1,8 @@
 /**
  * @file
- * Batch scheduler: runs many solve jobs concurrently on the shared
- * simulation thread pool with deterministic per-job seeds and a
- * content-addressed artifact cache.
+ * Batch scheduler: runs many solve jobs concurrently on the job pool
+ * with deterministic per-job seeds and a content-addressed artifact
+ * cache.
  *
  * Determinism contract.  Every job's RNG seed is derived from the hash
  * of its canonical request text (canonicalRequestText: configuration +
@@ -19,9 +19,9 @@
  * with the always-on daemon); this class adds the batch-shaped parts:
  * serial admission, slot allocation, and the parallel dispatch loop.
  *
- * Worker jobs run inside a pool task, therefore their solvers must not
- * reconfigure the pool: the runner forces resilience.threads = 0 on
- * every job and applies ServiceOptions::threads once, before dispatch.
+ * The job pool is the only thing that runs threads: runAll applies
+ * ServiceOptions::threads once, before dispatch, and the simulators
+ * inside each job run serial loops.
  */
 
 #ifndef RASENGAN_SERVE_SCHEDULER_H

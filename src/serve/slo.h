@@ -2,8 +2,8 @@
  * @file
  * Deadline/SLO-aware dispatch for the serve daemon.
  *
- * The daemon runs jobs serially on one worker (each job is internally
- * parallel across the simulation pool), so "scheduling" reduces to two
+ * The daemon runs jobs serially on one worker (each job's simulation is
+ * serial too), so "scheduling" reduces to two
  * decisions made here:
  *
  *  1. *Ordering*: which queued job runs next.  Strict priority classes

@@ -94,13 +94,11 @@ TEST(OptionTable, RejectsTrailingGarbageAndNonNumbers)
 
 TEST(OptionTable, EnforcesEachDriversRanges)
 {
-    // solve needs --threads >= 1; the service drivers take 0 = keep.
+    // A single solve has no threads to set; the service drivers size
+    // their job pool with --threads, 0 = keep.
     SolveArgs solve;
     CommandLine solveCli = solveCommandLine(solve);
-    EXPECT_EQ(parse(solveCli, {"--threads", "0"}),
-              "--threads: '0' is out of range: --threads must be >= 1");
-    EXPECT_EQ(parse(solveCli, {"--threads", "1"}), "");
-    EXPECT_EQ(solve.threads, 1);
+    EXPECT_EQ(parse(solveCli, {"--threads", "1"}), "--threads: unknown flag");
     EXPECT_NE(parse(solveCli, {"--faults", "1.5"}), "");
     EXPECT_NE(parse(solveCli, {"--faults", "-0.1"}), "");
     EXPECT_EQ(parse(solveCli, {"--faults", "1"}), "");
@@ -110,11 +108,11 @@ TEST(OptionTable, EnforcesEachDriversRanges)
     EXPECT_EQ(solve.seed, UINT64_MAX);
     EXPECT_NE(parse(solveCli, {"--seed", "18446744073709551616"}), "");
     EXPECT_NE(parse(solveCli, {"--seed", "-1"}), "");
-    EXPECT_NE(parse(solveCli, {"--threads", "99999999999"}), "");
 
     ServeArgs serve;
     CommandLine serveCli = serveCommandLine(serve);
     EXPECT_EQ(parse(serveCli, {"--threads", "0"}), "");
+    EXPECT_NE(parse(serveCli, {"--threads", "99999999999"}), "");
     EXPECT_EQ(parse(serveCli, {"--cache-mb", "-1"}),
               "--cache-mb: '-1' is out of range: --cache-mb must be >= 0");
     EXPECT_EQ(parse(serveCli, {"--cache-mb", "0", "--max-queue", "7",

@@ -6,8 +6,8 @@
  *
  * The determinism contract under test mirrors the rest of the
  * repository: the *span tree* (categories, names, parentage -- never
- * timestamps or thread ids) of an instrumented solve must be
- * byte-identical at 1, 2 and 7 threads.
+ * timestamps or thread ids) of a job-pool batch must be byte-identical
+ * at 1, 2 and 7 threads.
  */
 
 #include <gtest/gtest.h>
@@ -25,13 +25,11 @@
 
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "core/rasengan.h"
 #include "obs/clock.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
-#include "problems/suite.h"
 #include "serve/jsonl.h"
 #include "serve/scheduler.h"
 
@@ -410,49 +408,6 @@ TEST(Trace, SpanEndsRecordedEvenIfTracingStopsMidSpan)
     std::remove(path.c_str());
     EXPECT_NE(text.find("\"ph\":\"B\""), std::string::npos);
     EXPECT_NE(text.find("\"ph\":\"E\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Solver trace determinism across thread counts
-// ---------------------------------------------------------------------
-
-TEST(Trace, SolverSpanTreeIdenticalAcrossThreadCounts)
-{
-    ThreadGuard threads;
-    TraceGuard guard;
-
-    problems::Problem p = problems::makeBenchmark("F1");
-    core::RasenganOptions opts;
-    opts.maxIterations = 8;
-
-    std::string reference;
-    for (int tc : kSweep) {
-        opts.resilience.threads = tc;
-        obs::clearTrace();
-        obs::startTracing();
-        {
-            core::RasenganSolver solver(p, opts);
-            core::RasenganResult res = solver.run();
-            ASSERT_FALSE(res.failed);
-        }
-        obs::stopTracing();
-        EXPECT_EQ(parallel::threadCount(), tc);
-        const std::string sig = obs::spanTreeSignature();
-        ASSERT_FALSE(sig.empty());
-        if (reference.empty()) {
-            reference = sig;
-            // The pipeline instruments every stage the acceptance
-            // criteria name.
-            for (const char *cat :
-                 {"linalg:", "transition:", "segment-evolve:", "kernel:",
-                  "transpile:", "sample:", "solver:"}) {
-                EXPECT_NE(sig.find(cat), std::string::npos)
-                    << "missing category " << cat;
-            }
-            continue;
-        }
-        EXPECT_EQ(sig, reference) << "threads=" << tc;
-    }
 }
 
 // ---------------------------------------------------------------------

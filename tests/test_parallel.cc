@@ -1,14 +1,12 @@
 /**
  * @file
- * Tests for the deterministic parallelism substrate (common/parallel.h)
- * and everything built on it: thread-count invariance of the
- * statevector kernels, noisy trajectories and all four solvers,
- * randomized gate-fusion equivalence, and the alias sampler.
+ * Tests for the parallelism substrate (common/parallel.h): the job
+ * pool's dynamic dispatch and the blocked reductions' fixed
+ * association, plus randomized gate-fusion equivalence and the alias
+ * sampler.
  *
- * The contract under test is strong: results must be *bit-identical*
- * at every thread count, not merely statistically close.  Every sweep
- * here runs the same computation at 1, 2 and 7 threads and compares
- * raw amplitude bytes / exact Counts maps.
+ * Thread-count invariance of whole batches is asserted where threads
+ * remain, on the batch scheduler (tests/test_serve.cc).
  */
 
 #include <gtest/gtest.h>
@@ -18,20 +16,12 @@
 #include <complex>
 #include <cstdlib>
 #include <limits>
-#include <cstring>
 #include <vector>
 
-#include "baselines/chocoq.h"
-#include "baselines/hea.h"
-#include "baselines/pqaoa.h"
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "core/rasengan.h"
-#include "problems/suite.h"
-#include "qsim/counts.h"
-#include "qsim/noise.h"
 #include "qsim/statevector.h"
 
 namespace rasengan {
@@ -51,16 +41,6 @@ struct FusionGuard
     bool saved = circuit::fusionEnabled();
     ~FusionGuard() { circuit::setFusionEnabled(saved); }
 };
-
-bool
-sameAmplitudes(const qsim::Statevector &a, const qsim::Statevector &b)
-{
-    const auto &va = a.amplitudes();
-    const auto &vb = b.amplitudes();
-    return va.size() == vb.size() &&
-           std::memcmp(va.data(), vb.data(),
-                       va.size() * sizeof(va[0])) == 0;
-}
 
 /**
  * Random circuit over the full simulator-supported gate set (everything
@@ -110,42 +90,8 @@ randomCircuit(int n, int depth, Rng &rng)
 }
 
 // ---------------------------------------------------------------------
-// parallelFor / reductions
+// Job pool and blocked reductions
 // ---------------------------------------------------------------------
-
-TEST(ParallelFor, CoversRangeExactlyOnceAtEveryThreadCount)
-{
-    ThreadGuard guard;
-    constexpr uint64_t n = 100000;
-    for (int tc : kSweep) {
-        parallel::setThreadCount(tc);
-        EXPECT_EQ(parallel::threadCount(), tc);
-        std::vector<int> hits(n, 0);
-        parallel::parallelFor(0, n, 64, [&](uint64_t b, uint64_t e) {
-            for (uint64_t i = b; i < e; ++i)
-                ++hits[i];
-        });
-        for (uint64_t i = 0; i < n; ++i)
-            ASSERT_EQ(hits[i], 1) << "index " << i << " @ " << tc;
-    }
-}
-
-TEST(ParallelFor, EmptyAndSubGrainRangesRunInline)
-{
-    ThreadGuard guard;
-    parallel::setThreadCount(7);
-    int calls = 0;
-    parallel::parallelFor(5, 5, 1, [&](uint64_t, uint64_t) { ++calls; });
-    EXPECT_EQ(calls, 0);
-    // A range below one grain must execute as a single inline chunk.
-    parallel::parallelFor(0, 10, 4096, [&](uint64_t b, uint64_t e) {
-        ++calls;
-        EXPECT_EQ(b, 0u);
-        EXPECT_EQ(e, 10u);
-        EXPECT_FALSE(parallel::inParallelRegion());
-    });
-    EXPECT_EQ(calls, 1);
-}
 
 TEST(ParallelForDynamic, CoversRangeExactlyOnceAtEveryThreadCount)
 {
@@ -187,24 +133,6 @@ TEST(ParallelForDynamic, NestedCallsRunSeriallyWithoutDeadlock)
     EXPECT_EQ(calls, 0);
 }
 
-TEST(ParallelFor, NestedCallsRunSeriallyWithoutDeadlock)
-{
-    ThreadGuard guard;
-    parallel::setThreadCount(4);
-    constexpr uint64_t n = 1 << 14;
-    std::vector<int> hits(n, 0);
-    parallel::parallelFor(0, n, 1024, [&](uint64_t b, uint64_t e) {
-        // Nested region: must degrade to serial, not deadlock on the
-        // pool, and still cover its sub-range exactly once.
-        parallel::parallelFor(b, e, 1, [&](uint64_t nb, uint64_t ne) {
-            for (uint64_t i = nb; i < ne; ++i)
-                ++hits[i];
-        });
-    });
-    for (uint64_t i = 0; i < n; ++i)
-        ASSERT_EQ(hits[i], 1);
-}
-
 TEST(Parallel, EnvVariableConfiguresPool)
 {
     ThreadGuard guard;
@@ -216,9 +144,28 @@ TEST(Parallel, EnvVariableConfiguresPool)
     EXPECT_GE(parallel::threadCount(), 1);
 }
 
-TEST(ReduceBlocks, BitIdenticalAcrossThreadCounts)
+/**
+ * Run @p sum as three jobs on the job pool at every sweep thread count
+ * and check each job got @p expected to the bit: a reduction is a
+ * serial blocked loop, whichever thread runs it.
+ */
+template <typename T, typename Sum>
+void
+expectSameOnPoolThreads(const Sum &sum, const T &expected)
 {
     ThreadGuard guard;
+    for (int tc : kSweep) {
+        parallel::setThreadCount(tc);
+        std::vector<T> got(3);
+        parallel::parallelForDynamic(0, got.size(),
+                                     [&](uint64_t j) { got[j] = sum(); });
+        for (const T &g : got)
+            EXPECT_EQ(g, expected) << "threads=" << tc; // bitwise
+    }
+}
+
+TEST(ReduceBlocks, BitIdenticalAcrossThreadCounts)
+{
     constexpr uint64_t n = 200000;
     std::vector<double> data(n);
     Rng rng(42);
@@ -234,7 +181,7 @@ TEST(ReduceBlocks, BitIdenticalAcrossThreadCounts)
                 return acc;
             });
     };
-    // Reference: same fixed-block association, computed serially.
+    // Reference: per-block partials added in index order.
     double expected = 0.0;
     for (uint64_t b = 0; b < n; b += parallel::kReduceBlock) {
         uint64_t e = std::min(n, b + parallel::kReduceBlock);
@@ -243,220 +190,41 @@ TEST(ReduceBlocks, BitIdenticalAcrossThreadCounts)
             acc += data[i];
         expected += acc;
     }
-    for (int tc : kSweep) {
-        parallel::setThreadCount(tc);
-        double got = sum();
-        EXPECT_EQ(got, expected) << "threads=" << tc; // bitwise, not NEAR
-    }
+    EXPECT_EQ(sum(), expected); // bitwise, not NEAR
+    double flat = 0.0;
+    for (double v : data)
+        flat += v;
+    EXPECT_NE(expected, flat) << "input too benign to pin the association";
+    expectSameOnPoolThreads(sum, expected);
 }
 
 TEST(ReduceBlocks, ComplexBitIdenticalAcrossThreadCounts)
 {
-    ThreadGuard guard;
     constexpr uint64_t n = 123457; // deliberately not block-aligned
     std::vector<std::complex<double>> data(n);
     Rng rng(43);
     for (auto &v : data)
         v = {rng.uniformReal(-1.0, 1.0), rng.uniformReal(-1.0, 1.0)};
 
-    std::complex<double> reference{0.0, 0.0};
-    bool have_reference = false;
-    for (int tc : kSweep) {
-        parallel::setThreadCount(tc);
-        std::complex<double> got = parallel::reduceBlocksComplex(
+    auto sum = [&]() {
+        return parallel::reduceBlocksComplex(
             0, n, parallel::kReduceBlock, [&](uint64_t b, uint64_t e) {
                 std::complex<double> acc{0.0, 0.0};
                 for (uint64_t i = b; i < e; ++i)
                     acc += data[i];
                 return acc;
             });
-        if (!have_reference) {
-            reference = got;
-            have_reference = true;
-        }
-        EXPECT_EQ(got.real(), reference.real()) << "threads=" << tc;
-        EXPECT_EQ(got.imag(), reference.imag()) << "threads=" << tc;
+    };
+    std::complex<double> expected{0.0, 0.0};
+    for (uint64_t b = 0; b < n; b += parallel::kReduceBlock) {
+        std::complex<double> acc{0.0, 0.0};
+        for (uint64_t i = b; i < std::min(n, b + parallel::kReduceBlock);
+             ++i)
+            acc += data[i];
+        expected += acc;
     }
-}
-
-// ---------------------------------------------------------------------
-// Statevector kernels and sampling
-// ---------------------------------------------------------------------
-
-TEST(ThreadInvariance, StatevectorAmplitudesBitIdentical)
-{
-    ThreadGuard guard;
-    // 14 qubits = 16384 amplitudes: above the grain, so the pool is
-    // genuinely engaged at tc > 1.
-    const int n = 14;
-    Rng circ_rng(7);
-    circuit::Circuit circ = randomCircuit(n, 120, circ_rng);
-
-    parallel::setThreadCount(1);
-    qsim::Statevector reference(n);
-    reference.applyCircuit(circ);
-
-    for (int tc : kSweep) {
-        parallel::setThreadCount(tc);
-        qsim::Statevector sv(n);
-        sv.applyCircuit(circ);
-        EXPECT_TRUE(sameAmplitudes(sv, reference)) << "threads=" << tc;
-        // Scalar reductions must match bitwise too.
-        EXPECT_EQ(sv.normSquared(), reference.normSquared());
-        EXPECT_EQ(sv.probabilityOfOne(3), reference.probabilityOfOne(3));
-        std::complex<double> ip = sv.inner(reference);
-        EXPECT_EQ(ip, reference.inner(reference));
-        (void)ip;
-    }
-}
-
-TEST(ThreadInvariance, SampleCountsBitIdentical)
-{
-    ThreadGuard guard;
-    const int n = 14;
-    Rng circ_rng(11);
-    circuit::Circuit circ = randomCircuit(n, 80, circ_rng);
-
-    qsim::Counts reference;
-    bool have_reference = false;
-    for (int tc : kSweep) {
-        parallel::setThreadCount(tc);
-        qsim::Statevector sv(n);
-        sv.applyCircuit(circ);
-        Rng rng(99);
-        qsim::Counts counts = sv.sample(rng, 2048);
-        if (!have_reference) {
-            reference = counts;
-            have_reference = true;
-        }
-        EXPECT_TRUE(counts.map() == reference.map()) << "threads=" << tc;
-    }
-}
-
-TEST(ThreadInvariance, NoisyTrajectoriesBitIdentical)
-{
-    ThreadGuard guard;
-    const int n = 6;
-    Rng circ_rng(13);
-    circuit::Circuit circ = randomCircuit(n, 40, circ_rng);
-    qsim::NoiseModel noise;
-    noise.depol1q = 0.003;
-    noise.depol2q = 0.01;
-    noise.amplitudeDamping = 0.002;
-    noise.readoutError = 0.01;
-
-    qsim::Counts reference;
-    bool have_reference = false;
-    for (int tc : kSweep) {
-        parallel::setThreadCount(tc);
-        Rng rng(5);
-        qsim::Counts counts = qsim::sampleNoisy(circ, n, BitVec{}, noise,
-                                                rng, 512, /*trajectories=*/7);
-        if (!have_reference) {
-            reference = counts;
-            have_reference = true;
-        }
-        EXPECT_TRUE(counts.map() == reference.map()) << "threads=" << tc;
-        EXPECT_EQ(counts.total(), reference.total());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Solver-level invariance: the whole pipeline, per solver
-// ---------------------------------------------------------------------
-
-TEST(ThreadInvariance, RasenganSolverBitIdentical)
-{
-    ThreadGuard guard;
-    problems::Problem p = problems::makeBenchmark("F1");
-    core::RasenganOptions opts;
-    opts.execution = core::RasenganOptions::Execution::NoisyGateLevel;
-    opts.noise.depol2q = 0.002;
-    opts.noise.depol1q = 0.0002;
-    opts.maxIterations = 12;
-    opts.shotsPerSegment = 256;
-    opts.trajectories = 4;
-
-    core::RasenganResult reference;
-    bool have_reference = false;
-    for (int tc : kSweep) {
-        opts.resilience.threads = tc; // the executor wires the pool
-        core::RasenganSolver solver(p, opts);
-        core::RasenganResult res = solver.run();
-        EXPECT_EQ(parallel::threadCount(), tc);
-        ASSERT_FALSE(res.failed);
-        if (!have_reference) {
-            reference = res;
-            have_reference = true;
-            continue;
-        }
-        EXPECT_EQ(res.solution, reference.solution) << "threads=" << tc;
-        EXPECT_EQ(res.objectiveValue, reference.objectiveValue);
-        EXPECT_EQ(res.expectedObjective, reference.expectedObjective);
-        EXPECT_EQ(res.inConstraintsRate, reference.inConstraintsRate);
-        ASSERT_EQ(res.finalDistribution.entries.size(),
-                  reference.finalDistribution.entries.size());
-        for (size_t i = 0; i < res.finalDistribution.entries.size(); ++i) {
-            EXPECT_EQ(res.finalDistribution.entries[i].first,
-                      reference.finalDistribution.entries[i].first);
-            EXPECT_EQ(res.finalDistribution.entries[i].second,
-                      reference.finalDistribution.entries[i].second);
-        }
-    }
-}
-
-/** Shared sweep for the baseline VQAs: exact objective + Counts match. */
-template <typename Solver, typename Options>
-void
-sweepBaseline(Options opts)
-{
-    ThreadGuard guard;
-    problems::Problem p = problems::makeBenchmark("F1");
-    baselines::VqaResult reference;
-    bool have_reference = false;
-    for (int tc : kSweep) {
-        opts.resilience.threads = tc;
-        Solver solver(p, opts);
-        baselines::VqaResult res = solver.run();
-        EXPECT_EQ(parallel::threadCount(), tc);
-        if (!have_reference) {
-            reference = res;
-            have_reference = true;
-            continue;
-        }
-        EXPECT_EQ(res.expectedObjective, reference.expectedObjective)
-            << "threads=" << tc;
-        EXPECT_EQ(res.inConstraintsRate, reference.inConstraintsRate);
-        EXPECT_TRUE(res.counts.map() == reference.counts.map());
-        EXPECT_EQ(res.training.value, reference.training.value);
-    }
-}
-
-TEST(ThreadInvariance, HeaBitIdentical)
-{
-    baselines::HeaOptions opts;
-    opts.layers = 2;
-    opts.maxIterations = 15;
-    opts.shots = 256;
-    sweepBaseline<baselines::Hea>(opts);
-}
-
-TEST(ThreadInvariance, PqaoaBitIdentical)
-{
-    baselines::PqaoaOptions opts;
-    opts.layers = 2;
-    opts.maxIterations = 15;
-    opts.shots = 256;
-    sweepBaseline<baselines::Pqaoa>(opts);
-}
-
-TEST(ThreadInvariance, ChocoqBitIdentical)
-{
-    baselines::ChocoqOptions opts;
-    opts.layers = 2;
-    opts.maxIterations = 15;
-    opts.shots = 256;
-    sweepBaseline<baselines::Chocoq>(opts);
+    EXPECT_EQ(sum(), expected);
+    expectSameOnPoolThreads(sum, expected);
 }
 
 // ---------------------------------------------------------------------

@@ -486,7 +486,11 @@ TEST(Admission, ExactExecutionCostGrowsWithVariables)
 
 namespace {
 
-/** Tiny mixed workload that still produces repeat work (cache hits). */
+/**
+ * Tiny mixed workload that still produces repeat work (cache hits) and
+ * reaches every simulator: the sparse engine, the dense statevector of
+ * the three baselines, and noisy gate-level trajectories.
+ */
 std::vector<JobRequest>
 tinyWorkload()
 {
@@ -501,6 +505,24 @@ tinyWorkload()
         req.shots = 256;
         reqs.push_back(req);
     }
+    for (const char *algorithm : {"hea", "pqaoa", "chocoq"}) {
+        JobRequest req;
+        req.id = algorithm;
+        req.benchmark = "F1";
+        req.algorithm = algorithm;
+        req.iterations = 8;
+        req.layers = 2;
+        req.shots = 256;
+        reqs.push_back(req);
+    }
+    JobRequest gate;
+    gate.id = "gate";
+    gate.benchmark = "F1";
+    gate.iterations = 8;
+    gate.execution = "gate";
+    gate.noise = "kyiv";
+    gate.shots = 256;
+    reqs.push_back(gate);
     return reqs;
 }
 
@@ -530,6 +552,11 @@ TEST(Scheduler, ResultsAreByteIdenticalAcrossThreadCounts)
     std::vector<std::string> t7 = runBatch(reqs, 7);
     EXPECT_EQ(t1, t2);
     EXPECT_EQ(t1, t7);
+    // A one-job batch runs its job on the dispatching thread, outside
+    // any pool task; it must print the same line as inside the batch.
+    for (size_t i = 0; i < reqs.size(); ++i)
+        EXPECT_EQ(runBatch({reqs[i]}, 2), std::vector<std::string>{t1[i]})
+            << reqs[i].id;
     parallel::setThreadCount(0); // restore env-derived config
 }
 

@@ -6,7 +6,7 @@
  * scalar reference kernels to the last bit, at every input size
  * (including n = 0, 1, and every non-multiple of the vector width),
  * and whole simulations must be byte-identical under
- * RASENGAN_SIMD=scalar vs auto at 1, 2, and 7 threads.  On machines
+ * RASENGAN_SIMD=scalar vs auto.  On machines
  * where only the scalar table is available, the cross-ISA comparisons
  * skip instead of failing.
  */
@@ -23,7 +23,6 @@
 #include "baselines/pqaoa.h"
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/rasengan.h"
 #include "problems/suite.h"
@@ -37,17 +36,9 @@ using Complex = std::complex<double>;
 using qsim::SimdIsa;
 using qsim::SimdKernels;
 
-const std::vector<int> kSweep = {1, 2, 7};
-
 /** Sizes that straddle every vector width boundary. */
 const std::vector<uint64_t> kFuzzSizes = {0, 1, 2, 3, 4,  5,  7,
                                           8, 9, 16, 17, 33, 100};
-
-/** RAII: restore the env-derived thread configuration on scope exit. */
-struct ThreadGuard
-{
-    ~ThreadGuard() { parallel::setThreadCount(0); }
-};
 
 /** RAII: restore the previously active ISA on scope exit. */
 struct IsaGuard
@@ -268,7 +259,7 @@ TEST(SimdKernelsExact, DiagonalTermsAllSizes)
 }
 
 // ---------------------------------------------------------------------
-// Engine-level cross-ISA determinism at 1/2/7 threads
+// Engine-level cross-ISA determinism
 // ---------------------------------------------------------------------
 
 circuit::Circuit
@@ -291,27 +282,21 @@ mixedCircuit(int n, Rng &rng)
 TEST(SimdCrossIsa, DenseAmplitudesBitIdentical)
 {
     SKIP_IF_SCALAR_ONLY();
-    ThreadGuard tguard;
     IsaGuard iguard;
     const int n = 12;
     Rng rng(21);
     circuit::Circuit circ = mixedCircuit(n, rng);
 
     ASSERT_TRUE(qsim::setSimdIsa(SimdIsa::Scalar));
-    parallel::setThreadCount(1);
     qsim::Statevector reference(n);
     reference.applyCircuit(circ);
 
     for (SimdIsa isa : vectorIsas()) {
         ASSERT_TRUE(qsim::setSimdIsa(isa));
-        for (int tc : kSweep) {
-            parallel::setThreadCount(tc);
-            qsim::Statevector sv(n);
-            sv.applyCircuit(circ);
-            EXPECT_TRUE(
-                sameBytes(sv.amplitudes(), reference.amplitudes()))
-                << qsim::simdIsaName(isa) << " threads=" << tc;
-        }
+        qsim::Statevector sv(n);
+        sv.applyCircuit(circ);
+        EXPECT_TRUE(sameBytes(sv.amplitudes(), reference.amplitudes()))
+            << qsim::simdIsaName(isa);
     }
 }
 
@@ -322,7 +307,6 @@ TEST(SimdCrossIsa, DenseAmplitudesBitIdentical)
 TEST(SimdCrossIsa, RasenganSolverBitIdentical)
 {
     SKIP_IF_SCALAR_ONLY();
-    ThreadGuard tguard;
     IsaGuard iguard;
     problems::Problem p = problems::makeBenchmark("F1");
     core::RasenganOptions opts;
@@ -330,27 +314,22 @@ TEST(SimdCrossIsa, RasenganSolverBitIdentical)
     opts.shotsPerSegment = 256;
 
     ASSERT_TRUE(qsim::setSimdIsa(SimdIsa::Scalar));
-    opts.resilience.threads = 1;
     core::RasenganResult reference =
         core::RasenganSolver(p, opts).run();
     ASSERT_FALSE(reference.failed);
 
     ASSERT_TRUE(qsim::setSimdIsa(qsim::simdBestIsa()));
-    for (int tc : kSweep) {
-        opts.resilience.threads = tc;
-        core::RasenganResult res = core::RasenganSolver(p, opts).run();
-        ASSERT_FALSE(res.failed);
-        EXPECT_EQ(res.solution, reference.solution) << "threads=" << tc;
-        EXPECT_EQ(res.objectiveValue, reference.objectiveValue);
-        EXPECT_EQ(res.expectedObjective, reference.expectedObjective);
-        EXPECT_EQ(res.inConstraintsRate, reference.inConstraintsRate);
-        ASSERT_EQ(res.finalDistribution.entries.size(),
-                  reference.finalDistribution.entries.size());
-        for (size_t i = 0; i < res.finalDistribution.entries.size();
-             ++i) {
-            EXPECT_EQ(res.finalDistribution.entries[i],
-                      reference.finalDistribution.entries[i]);
-        }
+    core::RasenganResult res = core::RasenganSolver(p, opts).run();
+    ASSERT_FALSE(res.failed);
+    EXPECT_EQ(res.solution, reference.solution);
+    EXPECT_EQ(res.objectiveValue, reference.objectiveValue);
+    EXPECT_EQ(res.expectedObjective, reference.expectedObjective);
+    EXPECT_EQ(res.inConstraintsRate, reference.inConstraintsRate);
+    ASSERT_EQ(res.finalDistribution.entries.size(),
+              reference.finalDistribution.entries.size());
+    for (size_t i = 0; i < res.finalDistribution.entries.size(); ++i) {
+        EXPECT_EQ(res.finalDistribution.entries[i],
+                  reference.finalDistribution.entries[i]);
     }
 }
 
@@ -360,24 +339,18 @@ void
 sweepBaselineCrossIsa(Options opts)
 {
     SKIP_IF_SCALAR_ONLY();
-    ThreadGuard tguard;
     IsaGuard iguard;
     problems::Problem p = problems::makeBenchmark("F1");
 
     ASSERT_TRUE(qsim::setSimdIsa(SimdIsa::Scalar));
-    opts.resilience.threads = 1;
     baselines::VqaResult reference = Solver(p, opts).run();
 
     ASSERT_TRUE(qsim::setSimdIsa(qsim::simdBestIsa()));
-    for (int tc : kSweep) {
-        opts.resilience.threads = tc;
-        baselines::VqaResult res = Solver(p, opts).run();
-        EXPECT_EQ(res.expectedObjective, reference.expectedObjective)
-            << "threads=" << tc;
-        EXPECT_EQ(res.inConstraintsRate, reference.inConstraintsRate);
-        EXPECT_TRUE(res.counts.map() == reference.counts.map());
-        EXPECT_EQ(res.training.value, reference.training.value);
-    }
+    baselines::VqaResult res = Solver(p, opts).run();
+    EXPECT_EQ(res.expectedObjective, reference.expectedObjective);
+    EXPECT_EQ(res.inConstraintsRate, reference.inConstraintsRate);
+    EXPECT_TRUE(res.counts.map() == reference.counts.map());
+    EXPECT_EQ(res.training.value, reference.training.value);
 }
 
 TEST(SimdCrossIsa, HeaBitIdentical)

@@ -28,6 +28,7 @@
 #include "qsim/counts.h"
 #include "qsim/sparseplan.h"
 #include "qsim/sparsestate.h"
+#include "qsim/statevector.h"
 
 namespace rasengan {
 namespace {
@@ -232,8 +233,28 @@ TEST(SparseState, FromSortedRejectsUnsortedKeys)
 TEST(SparseState, NormSquaredSumsFixedBlocksInIndexOrder)
 {
     // Past one 2^14-state block the association of the sum shows in the
-    // bits.  normSquared must add per-block partials in index order --
-    // the dense kernels' reduceBlocks association -- at any support size.
+    // bits.  Both engines' normSquared must add per-block partials in
+    // index order (common/parallel.h reduceBlocks) at any size.
+    auto blockedSum = [](const std::vector<Complex> &amps) {
+        double blocked = 0.0;
+        for (size_t lo = 0; lo < amps.size(); lo += parallel::kReduceBlock) {
+            double block = 0.0;
+            for (size_t i = lo;
+                 i < std::min<size_t>(lo + parallel::kReduceBlock,
+                                      amps.size());
+                 ++i)
+                block += std::norm(amps[i]);
+            blocked += block;
+        }
+        // A flat sum of the same data rounds differently, so a change of
+        // association cannot pass unnoticed.
+        double flat = 0.0;
+        for (const Complex &a : amps)
+            flat += std::norm(a);
+        EXPECT_NE(std::memcmp(&flat, &blocked, sizeof(double)), 0);
+        return blocked;
+    };
+
     const size_t n = 40000;
     Rng rng(41);
     std::vector<BitVec> keys;
@@ -242,25 +263,20 @@ TEST(SparseState, NormSquaredSumsFixedBlocksInIndexOrder)
         keys.push_back(BitVec::fromIndex(3 * i + 1));
         amps.emplace_back(rng.normal(), rng.normal());
     }
-    double blocked = 0.0;
-    for (size_t lo = 0; lo < n; lo += parallel::kReduceBlock) {
-        double block = 0.0;
-        for (size_t i = lo; i < std::min(lo + parallel::kReduceBlock, n);
-             ++i)
-            block += std::norm(amps[i]);
-        blocked += block;
-    }
-    double flat = 0.0;
-    for (const Complex &a : amps)
-        flat += std::norm(a);
-    // A flat sum of the same data rounds differently, so a change of
-    // association cannot pass unnoticed.
-    ASSERT_NE(std::memcmp(&flat, &blocked, sizeof(double)), 0);
-
+    const double sparse_want = blockedSum(amps);
     SparseState s = SparseState::fromSorted(64, keys, amps);
-    const double got = s.normSquared();
-    EXPECT_EQ(std::memcmp(&got, &blocked, sizeof(double)), 0)
-        << got << " vs " << blocked;
+    const double sparse_got = s.normSquared();
+    EXPECT_EQ(std::memcmp(&sparse_got, &sparse_want, sizeof(double)), 0)
+        << sparse_got << " vs " << sparse_want;
+
+    // The dense engine, 2^16 amplitudes.
+    qsim::Statevector sv(16);
+    for (Complex &a : sv.mutableAmplitudes())
+        a = Complex{rng.normal(), rng.normal()};
+    const double dense_want = blockedSum(sv.amplitudes());
+    const double dense_got = sv.normSquared();
+    EXPECT_EQ(std::memcmp(&dense_got, &dense_want, sizeof(double)), 0)
+        << dense_got << " vs " << dense_want;
 }
 
 /** Record a plan over a few transitions of the J1 basis. */

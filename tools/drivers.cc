@@ -103,8 +103,9 @@ serviceOptions(serve::ServiceOptions &service)
     serve::AdmissionLimits &limits = service.limits;
     return {
         number("--threads", "N",
-               "simulation threads per process (0 = RASENGAN_THREADS, "
-               "then hardware concurrency)",
+               "job-pool threads of the batch drivers (0 = "
+               "RASENGAN_THREADS, then hardware concurrency); the daemon "
+               "runs one job at a time",
                &service.threads),
         number("--batch-seed", "S",
                "mixed into every job's child seed (default 0)",
@@ -167,10 +168,6 @@ solveCommandLine(SolveArgs &args)
         text("--checkpoint", "PATH",
              "checkpoint the solve to PATH; a rerun resumes from it",
              &args.checkpoint),
-        number("--threads", "N",
-               "simulation threads (default: RASENGAN_THREADS, then "
-               "hardware concurrency); results are identical at any N",
-               &args.threads, 1),
     };
     return {"rasengan_solve", "(--benchmark ID | --file PATH | --dump ID) "
                               "[options]",

@@ -65,7 +65,6 @@ struct SolveArgs
     double faults = 0.0;
     int retries = 5;
     std::string checkpoint;
-    int threads = 0; ///< 0: no --threads
     ObsCliOptions obs;
 };
 

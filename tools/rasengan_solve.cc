@@ -6,7 +6,7 @@
  *   rasengan_solve --file instance.txt [options]
  *   rasengan_solve --dump F1              # print an instance file
  *
- * Results are bit-identical at every --threads and --simd setting.
+ * Results are bit-identical at every --simd setting.
  * Run it with no arguments for the option list.
  */
 
@@ -16,7 +16,6 @@
 #include <string>
 
 #include "baselines/chocoq.h"
-#include "common/parallel.h"
 #include "baselines/hea.h"
 #include "baselines/pqaoa.h"
 #include "circuit/draw.h"
@@ -53,7 +52,6 @@ makeResilience(const SolveArgs &args)
     r.faults.rate = args.faults;
     r.faults.seed = args.seed ^ 0xFA17;
     r.retry.maxAttempts = args.retries;
-    r.threads = args.threads;
     return r;
 }
 
@@ -190,8 +188,6 @@ main(int argc, char **argv)
     SolveArgs args;
     const tools::CommandLine cli = tools::solveCommandLine(args);
     tools::parseOrExit(cli, argc, argv);
-    if (args.threads > 0)
-        parallel::setThreadCount(args.threads);
     if (!tools::applySimdFlag(args.obs.simd))
         return 1;
     tools::obsCliStart(args.obs);
