@@ -76,13 +76,9 @@ Coordinator::submit(const serve::JobRequest &req)
         return slot;
     }
     ++remaining_;
-    // Mint the job's trace id exactly as a single-process
-    // BatchScheduler would (deterministic, unconditional), so telemetry
-    // bytes match single-process runs and the worker's job span carries
-    // the same id the coordinator hands to trace consumers.
-    if (screened.prepared.req.traceHint.empty())
-        screened.prepared.req.traceHint =
-            serve::traceIdForJob(screened.prepared);
+    // The forwarded line carries the trace id prepare() minted, so the
+    // worker's job span and telemetry use the id a single-process
+    // BatchScheduler would.
     AdmittedJob job;
     job.slot = slot;
     job.id = screened.prepared.req.id;

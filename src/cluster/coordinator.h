@@ -15,8 +15,10 @@
  *    queue occupancy the single-process submit loop would.)
  *
  *  - Accepted jobs.  Workers re-derive the child seed from canonical
- *    request content + batch seed and run with unlimited admission;
- *    estimateJobCost is limits-independent, so cost_units matches too.
+ *    request content + batch seed and run each job through
+ *    serve::JobRunner::serve, the envelope the BatchScheduler uses;
+ *    its cost_units is estimateJobCost, which is limits-independent,
+ *    so cost_units matches too.
  *    Result lines cross the wire as the worker's writeResult() bytes
  *    and are stored verbatim in the submission-order slot -- the merge
  *    is placement- and completion-order-invariant by construction, and

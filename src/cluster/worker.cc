@@ -11,15 +11,18 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
+#include "exec/cancel.h"
 #include "exec/faults.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/job.h"
-#include "serve/scheduler.h"
+#include "serve/runner.h"
 
 namespace rasengan::cluster {
 
@@ -47,22 +50,21 @@ struct WorkerState
     int fd = -1;
     bool configured = false;
     int workerIndex = -1;
-    uint64_t batchSeed = 0;
-    int threads = 0;
     size_t maxFrameBytes = kDefaultMaxFrameBytes;
     /** Coordinator asked for span shipping at hello. */
     bool shipSpans = false;
     /** Coordinator-side span id this cycle's job spans open under. */
     uint64_t traceParent = 0;
-    std::shared_ptr<serve::ArtifactCache> cache;
+    /** Built at hello over ONE long-lived artifact cache, so artifacts
+     *  warm across cycles exactly as across the daemon's jobs. */
+    std::optional<serve::JobRunner> runner;
     exec::ProcessFaultPlan fault;
     std::atomic<uint64_t> faultEvents{0};
 
-    /** Once true, nothing more is written: the injected-disconnect
-     *  fault, or a peer that vanished under us. */
+    /** Once true, nothing more is written and unstarted jobs are
+     *  skipped: the injected-disconnect fault, or a peer that vanished
+     *  under us. */
     std::atomic<bool> disconnected{false};
-    /** Trips the scheduler's cooperative stop on disconnect. */
-    std::atomic<bool> stop{false};
     std::mutex sendMutex;
 
     /** Jobs accumulated since the last run: (coordinator slot, line). */
@@ -89,7 +91,6 @@ disconnectNow(WorkerState &state)
 {
     std::lock_guard<std::mutex> lock(state.sendMutex);
     state.disconnected.store(true, std::memory_order_relaxed);
-    state.stop.store(true, std::memory_order_relaxed);
     ::shutdown(state.fd, SHUT_RDWR);
 }
 
@@ -126,11 +127,12 @@ handleHello(WorkerState &state, const Message &msg, std::string *error)
     }
     state.configured = true;
     state.workerIndex = msg.worker;
-    state.batchSeed = msg.batchSeed;
-    state.threads = msg.threads;
     state.fault = fault.plan;
-    state.cache =
-        std::make_shared<serve::ArtifactCache>(msg.cacheBudgetBytes);
+    state.runner.emplace(
+        serve::RunnerOptions{msg.batchSeed, ""},
+        std::make_shared<serve::ArtifactCache>(msg.cacheBudgetBytes));
+    if (msg.threads > 0)
+        parallel::setThreadCount(msg.threads);
     if (msg.traceSpans) {
         state.shipSpans = true;
         state.traceParent = msg.traceParent;
@@ -159,24 +161,57 @@ runCycle(WorkerState &state, uint64_t expectedJobs, std::string *error)
         return false;
     }
 
-    serve::ServeOptions options;
-    options.threads = state.threads;
-    options.batchSeed = state.batchSeed;
-    // The coordinator already screened against the real limits;
-    // screening again here would double-count the batch budget.
-    options.limits = serve::AdmissionLimits::unlimited();
-    options.stopFlag = &state.stop;
-    if (state.shipSpans) {
-        // Job spans open under the coordinator's batch span (remote
-        // parent); the local batch span is suppressed so the merged
-        // forest does not depend on how jobs shard across workers.
-        options.traceRemoteParent = state.traceParent;
-        options.suppressBatchSpan = true;
+    // Prepare serially in arrival order.  The coordinator already
+    // screened every line against the real admission limits, so only
+    // a validation defect can reject here; it is answered at once.
+    struct CycleJob
+    {
+        uint64_t slot = 0;
+        serve::PreparedJob prepared;
+        obs::TimeNanos acceptedAt = 0;
+    };
+    std::vector<CycleJob> jobs;
+    std::set<std::string> cycleTraceIds;
+    for (const auto &[slot, line] : state.cycleJobs) {
+        serve::RequestParseResult parsed = serve::parseRequest(line);
+        if (!parsed.ok) {
+            // The coordinator only forwards screened requests, so a
+            // parse failure means the stream is not trustworthy.
+            *error = "unparseable forwarded request: " + parsed.error;
+            return false;
+        }
+        serve::PrepareOutcome prepared =
+            state.runner->prepare(parsed.request);
+        if (!prepared.ok) {
+            serve::JobResult rejection;
+            rejection.id = parsed.request.id;
+            rejection.rejectReason = prepared.error;
+            rejection.rejectCode = "validation";
+            sendResult(state, slot, rejection);
+            continue;
+        }
+        cycleTraceIds.insert(prepared.job.req.traceHint);
+        obs::instantEvent("serve", "job-queued", prepared.job.req.id);
+        jobs.push_back(
+            CycleJob{slot, std::move(prepared.job), obs::nowNanos()});
     }
-    std::vector<uint64_t> slotOf; // local result index -> coordinator slot
-    slotOf.reserve(state.cycleJobs.size());
-    options.onJobComplete = [&](size_t local,
-                                const serve::JobResult &result) {
+
+    // Job spans open under the coordinator's span (remote parent), so
+    // the merged forest does not depend on how jobs shard across
+    // workers.  Each lane sends its own result.
+    serve::JobContext ctx;
+    if (state.shipSpans) {
+        ctx.parent.parent = state.traceParent;
+        ctx.parent.remote = true;
+    }
+    parallel::parallelForDynamic(0, jobs.size(), [&](uint64_t i) {
+        if (state.disconnected.load(std::memory_order_relaxed))
+            return; // nothing more can be sent: skip unstarted jobs
+        serve::JobContext job_ctx = ctx;
+        job_ctx.acceptedAt = jobs[i].acceptedAt;
+        exec::CancelToken cancel;
+        serve::JobResult result =
+            state.runner->serve(jobs[i].prepared, job_ctx, cancel);
         uint64_t events =
             state.faultEvents.fetch_add(1, std::memory_order_relaxed) + 1;
         if (state.fault.triggers(events)) {
@@ -187,39 +222,15 @@ runCycle(WorkerState &state, uint64_t expectedJobs, std::string *error)
             disconnectNow(state);
             return;
         }
-        if (state.disconnected.load(std::memory_order_relaxed))
-            return;
-        sendResult(state, slotOf[local], result);
-    };
-
-    serve::BatchScheduler scheduler(options, state.cache);
-    std::set<std::string> cycleTraceIds;
-    for (const auto &[slot, line] : state.cycleJobs) {
-        serve::RequestParseResult parsed = serve::parseRequest(line);
-        if (!parsed.ok) {
-            // The coordinator only forwards screened requests, so a
-            // parse failure means the stream is not trustworthy.
-            *error = "unparseable forwarded request: " + parsed.error;
-            return false;
-        }
-        if (!parsed.request.traceHint.empty())
-            cycleTraceIds.insert(parsed.request.traceHint);
-        size_t local = scheduler.submit(parsed.request);
-        slotOf.push_back(slot);
-        // With unlimited admission only a validation defect can reject;
-        // it completes at submit time and never reaches onJobComplete.
-        const serve::JobResult &early = scheduler.results()[local];
-        if (!early.accepted && !early.rejectCode.empty())
-            sendResult(state, slot, early);
-    }
-    scheduler.runAll();
+        sendResult(state, jobs[i].slot, result);
+    });
     state.jobsRun += state.cycleJobs.size();
     state.cycleJobs.clear();
 
     if (state.disconnected.load(std::memory_order_relaxed))
         return true; // injected disconnect: vanish without batch_done
 
-    serve::ArtifactCache::Stats cache = state.cache->stats();
+    serve::ArtifactCache::Stats cache = state.runner->cache().stats();
     Message done;
     done.type = "batch_done";
     done.jobs = expectedJobs;

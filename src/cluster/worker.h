@@ -1,21 +1,26 @@
 /**
  * @file
  * Cluster worker: one process (or loopback thread) that runs a shard of
- * a batch on its own serve::BatchScheduler and streams results back.
+ * a batch through serve::JobRunner::serve -- the job envelope batch
+ * serve and the daemon use -- and streams results back.
  *
  * The worker is configured entirely over the wire (the hello message
  * carries seed, threads, cache budget, and an optional fault-injection
  * spec), then serves any number of job.../run cycles until the
- * coordinator drains it.  Per cycle it builds a fresh BatchScheduler
- * over ONE long-lived ArtifactCache, so artifacts warm across
- * re-placement cycles exactly as they would across batches in the
- * daemon.
+ * coordinator drains it.  At hello it builds ONE JobRunner over one
+ * long-lived ArtifactCache, so artifacts warm across re-placement
+ * cycles exactly as they would across the daemon's jobs, and applies
+ * the thread count to the job pool once.  Per cycle it prepares the
+ * forwarded lines serially, then runs them with
+ * parallel::parallelForDynamic; each lane sends its own result frame
+ * (under a socket mutex), with the coordinator's span as the job
+ * span's remote parent.
  *
- * Determinism: the scheduler runs with AdmissionLimits::unlimited() --
- * the coordinator already screened every request against the real
- * limits, and screening twice would double-count the batch budget.
- * Result frames carry the exact writeResult()/writeTelemetry() bytes;
- * the child seed is re-derived from content + batch seed, so a job
+ * Determinism: the worker does not re-admit -- the coordinator already
+ * screened every request against the real limits, and screening twice
+ * would double-count the batch budget.  Result frames carry the exact
+ * writeResult()/writeTelemetry() bytes; the child seed is re-derived
+ * from content + batch seed and cost_units is estimateJobCost, so a job
  * produces the same result bytes on any worker.
  *
  * Fault injection (tests and the CI smoke job): the hello-forwarded

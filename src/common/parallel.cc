@@ -45,14 +45,15 @@ class Pool
         return pool;
     }
 
-    int size() const { return size_; }
+    int size() const { return size_.load(std::memory_order_relaxed); }
 
     void
     configure(int requested)
     {
         std::lock_guard<std::mutex> serial(runMutex_);
         stopWorkers();
-        size_ = resolveThreadCount(requested);
+        size_.store(resolveThreadCount(requested),
+                    std::memory_order_relaxed);
         startWorkers();
     }
 
@@ -94,7 +95,7 @@ class Pool
         // they were spawned: hand each its starting generation so the
         // first wake only fires on the next run().
         const uint64_t gen = generation_;
-        for (int w = 0; w < size_ - 1; ++w)
+        for (int w = 0; w < size() - 1; ++w)
             workers_.emplace_back([this, gen] { workerLoop(gen); });
     }
 
@@ -148,7 +149,10 @@ class Pool
     const std::function<void()> *loop_ = nullptr;
     uint64_t generation_ = 0;
     int pending_ = 0;
-    int size_ = 1;
+    /** Atomic: parallelForDynamic reads it without runMutex_ while
+     *  another thread (a loopback cluster worker at hello) may be
+     *  reconfiguring; run() then uses the workers it finds. */
+    std::atomic<int> size_{1};
     bool shutdown_ = false;
 };
 

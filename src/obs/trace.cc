@@ -146,43 +146,6 @@ currentSpanId()
     return tls_currentSpan;
 }
 
-Span::Span(const char *category, const char *name, std::string detail)
-{
-    bool traced = tracingEnabled();
-    bool flighted = flight::enabled();
-    if (!traced && !flighted)
-        return;
-    if (flighted) {
-        category_ = category;
-        name_ = name;
-        flightDetail_ = detail;
-        start_ = nowNanos();
-        flightActive_ = true;
-    }
-    if (traced)
-        open(category, name, std::move(detail), tls_currentSpan, false,
-             std::string());
-}
-
-Span::Span(const char *category, const char *name, std::string detail,
-           SpanId explicit_parent)
-{
-    bool traced = tracingEnabled();
-    bool flighted = flight::enabled();
-    if (!traced && !flighted)
-        return;
-    if (flighted) {
-        category_ = category;
-        name_ = name;
-        flightDetail_ = detail;
-        start_ = nowNanos();
-        flightActive_ = true;
-    }
-    if (traced)
-        open(category, name, std::move(detail), explicit_parent, false,
-             std::string());
-}
-
 Span::Span(const char *category, const char *name, std::string detail,
            const SpanContext &context)
 {
@@ -198,7 +161,8 @@ Span::Span(const char *category, const char *name, std::string detail,
         flightActive_ = true;
     }
     if (traced)
-        open(category, name, std::move(detail), context.parent,
+        open(category, name, std::move(detail),
+             context.parent != 0 ? context.parent : tls_currentSpan,
              context.remote, context.traceId);
 }
 

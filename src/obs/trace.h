@@ -32,8 +32,8 @@
  *
  * Parentage: spans nest through a thread-local current-span id.  Work
  * dispatched onto pool threads does not inherit the dispatcher's
- * thread-local parent, so cross-thread callers (e.g. the serve
- * scheduler's per-job spans) pass the parent id explicitly.
+ * thread-local parent, so cross-thread callers (the job runner's
+ * per-job spans) pass the parent in a SpanContext.
  *
  * Distributed traces: a job admitted by the cluster coordinator carries
  * a 128-bit trace id (hex string) end to end.  The worker opens the
@@ -135,11 +135,11 @@ struct FlatEvent
 };
 
 /**
- * Distributed span context for opening a span whose parent lives in
- * another process (or whose trace id must be recorded): the worker
- * opens each job span with the coordinator's span id as parent and
- * remote=true; the single-process scheduler uses remote=false with the
- * batch span as parent.
+ * Where a span sits in a trace.  A zero parent means the calling
+ * thread's innermost open span; a nonzero parent links across threads
+ * (a pool task under its batch span) or, with remote=true, across
+ * processes (a cluster worker's job span under the coordinator's).
+ * traceId, when set, records the job's distributed trace id.
  */
 struct SpanContext
 {
@@ -151,8 +151,7 @@ struct SpanContext
 /**
  * RAII span.  Records a begin event at construction and an end event at
  * destruction when tracing is enabled; otherwise both are a branch.
- * The parent defaults to the calling thread's innermost open span; the
- * explicit-parent constructor links across threads.  When the flight
+ * The parent comes from @p context (see SpanContext).  When the flight
  * recorder is enabled the closed span is also journaled there, even
  * with tracing off.
  *
@@ -163,19 +162,9 @@ struct SpanContext
 class Span
 {
   public:
-    Span(const char *category, const char *name)
-        : Span(category, name, std::string())
-    {}
-
-    Span(const char *category, const char *name, std::string detail);
-
-    /** Cross-thread span: explicit parent instead of the thread-local. */
-    Span(const char *category, const char *name, std::string detail,
-         SpanId explicit_parent);
-
-    /** Distributed span: trace id + (possibly remote) explicit parent. */
-    Span(const char *category, const char *name, std::string detail,
-         const SpanContext &context);
+    Span(const char *category, const char *name,
+         std::string detail = std::string(),
+         const SpanContext &context = SpanContext());
 
     ~Span();
 

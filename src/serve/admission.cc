@@ -64,19 +64,6 @@ estimateJobCost(const JobRequest &req, int num_vars)
     return evals * perEval / 1024.0;
 }
 
-AdmissionLimits
-AdmissionLimits::unlimited()
-{
-    AdmissionLimits l;
-    l.maxQueuedJobs = static_cast<size_t>(-1);
-    l.maxQubits = 1 << 20;
-    l.maxShotsPerJob = static_cast<uint64_t>(-1);
-    l.maxIterationsPerJob = 1 << 30;
-    l.maxJobCostUnits = 1e300;
-    l.maxBatchCostUnits = 1e300;
-    return l;
-}
-
 AdmissionController::AdmissionController(AdmissionLimits limits)
     : limits_(limits)
 {

@@ -32,14 +32,6 @@ struct AdmissionLimits
     int maxIterationsPerJob = 5000;
     double maxJobCostUnits = 5e7;   ///< single-job ceiling
     double maxBatchCostUnits = 5e8; ///< sum over admitted jobs
-
-    /**
-     * Effectively-infinite limits for execution contexts that must not
-     * re-screen: a cluster worker runs only jobs its coordinator already
-     * admitted, so a second (stateful) admission pass would double-count
-     * the batch budget and break the byte-identity contract.
-     */
-    static AdmissionLimits unlimited();
 };
 
 /**
@@ -50,10 +42,10 @@ struct AdmissionLimits
  */
 struct ServiceOptions
 {
-    /** Job-pool threads, applied once by the batch scheduler before
-     *  jobs run; 0 keeps the current (RASENGAN_THREADS / hardware)
-     *  configuration.  The daemon runs one job at a time and ignores
-     *  it. */
+    /** Job-pool threads, applied once before jobs run (by the batch
+     *  scheduler, or by each cluster worker at hello); 0 keeps the
+     *  current (RASENGAN_THREADS / hardware) configuration.  The
+     *  daemon runs one job at a time and ignores it. */
     int threads = 0;
     /** Mixed into every job's child seed; same batch seed + same
      *  requests -> same results. */

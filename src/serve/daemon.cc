@@ -169,7 +169,7 @@ Daemon::Daemon(DaemonOptions options)
               std::make_shared<ArtifactCache>(options_.cacheBudgetBytes)),
       admission_(options_.limits),
       policy_{options_.limits, options_.slo},
-      epoch_(std::chrono::steady_clock::now())
+      started_(obs::nowNanos())
 {
 }
 
@@ -177,14 +177,6 @@ Daemon::~Daemon()
 {
     if (running())
         stop();
-}
-
-double
-Daemon::nowMs() const
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
 }
 
 void
@@ -245,7 +237,8 @@ Daemon::updateQueueGauges()
     daemonCounters().queueDepth.set(static_cast<double>(queue_.size()));
     const double earliest = queue_.earliestDeadlineMs();
     daemonCounters().deadlineSlack.set(
-        earliest > 0.0 ? std::max(earliest - nowMs(), 0.0) : 0.0);
+        earliest > 0.0 ? std::max(earliest - obs::nowNanos() * 1e-6, 0.0)
+                       : 0.0);
 }
 
 void
@@ -328,14 +321,17 @@ Daemon::start(std::string *error)
             job.slo.costUnits = estimateJobCost(
                 parsed.request, prep.job.problem->numVars());
             // Replayed jobs keep their priority class for ordering but
-            // drop deadlines: those expired with the old incarnation,
-            // and determinism requires the work to actually re-run.
+            // drop deadlines and timeouts: those expired with the old
+            // incarnation, and determinism requires the work to
+            // actually re-run.  Their queue wait counts from start.
             parsePriority(parsed.request.priority, &job.slo.priority);
             job.slo.arrival = arrivalCounter_++;
             job.prepared = std::move(prep.job);
+            job.prepared.req.deadlineMs = 0.0;
+            job.prepared.req.timeoutMs = 0.0;
             job.journalSeq = pending->seq;
             job.replayed = true;
-            job.acceptMs = 0.0;
+            job.acceptedAt = started_;
             replayJobs.push_back(std::move(job));
         }
         std::string journalErr;
@@ -439,14 +435,14 @@ Daemon::ioLoop()
     static obs::Gauge &uptime = obs::Registry::global().gauge(
         "uptime_seconds", "Seconds since the daemon started");
     bool workerJoined = false;
-    double lastFlightNoteMs = 0.0;
+    obs::TimeNanos lastFlightNote = started_;
     while (true) {
-        uptime.set(nowMs() * 1e-3);
+        const obs::TimeNanos now = obs::nowNanos();
+        uptime.set(static_cast<double>(now - started_) * 1e-9);
         // Periodic metric snapshot into the flight recorder, so a
         // post-mortem dump shows the load shape leading up to the end.
-        if (obs::flight::enabled() &&
-            nowMs() - lastFlightNoteMs >= 5000.0) {
-            lastFlightNoteMs = nowMs();
+        if (obs::flight::enabled() && now - lastFlightNote >= 5000000000) {
+            lastFlightNote = now;
             DaemonStats s = stats();
             obs::flight::note(
                 "metrics",
@@ -866,12 +862,12 @@ Daemon::handleSubmit(Conn &conn, const std::string &line)
     job.prepared = std::move(prep.job);
     job.slo = slo;
     job.slo.arrival = arrivalCounter_++;
-    job.acceptMs = nowMs();
+    job.acceptedAt = obs::nowNanos();
     // Queue ordering wants the ABSOLUTE deadline (EDF across jobs
     // accepted at different times); the relative value served the shed
     // predictor above.
     if (req.deadlineMs > 0.0)
-        job.slo.deadlineMs = job.acceptMs + req.deadlineMs;
+        job.slo.deadlineMs = job.acceptedAt * 1e-6 + req.deadlineMs;
     job.connId = conn.id;
     {
         std::lock_guard<std::mutex> lock(journalMutex_);
@@ -970,88 +966,53 @@ Daemon::workerLoop()
             queuedBySeq_.erase(it);
             updateQueueGauges();
         }
-        runOne(std::move(job));
+        runOne(job);
     }
 }
 
 void
-Daemon::runOne(QueuedJob job)
+Daemon::runOne(const QueuedJob &job)
 {
-    // Same deterministic mint the batch scheduler performs, so a job's
-    // telemetry line is byte-identical whether it ran here or in a
-    // batch (a client-supplied hint wins, as everywhere else).
-    if (job.prepared.req.traceHint.empty())
-        job.prepared.req.traceHint = traceIdForJob(job.prepared);
-    const JobRequest &req = job.prepared.req;
-
-    // Arm the cooperative deadline: the tighter of the remaining SLO
-    // budget and the per-job timeout.  Replayed jobs run without one --
-    // their deadlines expired with the previous incarnation, and the
-    // determinism contract needs the work to actually happen.
+    // Registered so a drain can cancel the job cooperatively; serve()
+    // arms it with the tighter of the timeout and the SLO deadline.
     exec::CancelToken token;
-    double budgetMs = 0.0;
-    if (!job.replayed) {
-        if (job.slo.deadlineMs > 0.0)
-            budgetMs = job.slo.deadlineMs - nowMs();
-        if (req.timeoutMs > 0.0 &&
-            (budgetMs <= 0.0 ? job.slo.deadlineMs <= 0.0
-                             : req.timeoutMs < budgetMs))
-            budgetMs = req.timeoutMs;
-        if (job.slo.deadlineMs > 0.0 && budgetMs <= 0.0)
-            budgetMs = 1e-3; // already late: trip at the first check
-        if (budgetMs > 0.0)
-            token.setDeadlineSeconds(budgetMs * 1e-3);
-    }
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         runningToken_ = &token;
         runningCostUnits_ = job.slo.costUnits;
     }
+    const JobRequest &req = job.prepared.req;
+    JobContext ctx;
+    ctx.spanCategory = "daemon";
+    ctx.acceptedAt = job.acceptedAt;
+    if (req.deadlineMs > 0.0)
+        ctx.deadline = job.acceptedAt +
+                       static_cast<obs::TimeNanos>(req.deadlineMs * 1e6);
+    const JobResult result = runner_.serve(job.prepared, ctx, token);
 
-    obs::SpanContext ctx;
-    ctx.traceId = req.traceHint;
-    obs::Span span("daemon", "job", req.id, ctx);
-    const double startMs = nowMs();
-    // The token is passed even when unarmed so a drain can still
-    // cooperatively cancel a replayed or deadline-less job.
-    JobResult result = runner_.run(job.prepared, &token);
-    const double endMs = nowMs();
-    result.costUnits = job.slo.costUnits;
-    result.telemetry.traceId = req.traceHint;
-    result.telemetry.queueWaitMs = std::max(startMs - job.acceptMs, 0.0);
-    result.telemetry.wallMs = endMs - startMs;
-
-    bool drainCancelled;
+    bool checkpointed;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         runningToken_ = nullptr;
         runningCostUnits_ = 0.0;
         // The job only counts as checkpointed-by-drain when the drain
         // cancel (not a real deadline) is what stopped it.
-        drainCancelled = drainRequested_ && !result.ok &&
-                         token.cancelled() && !token.deadlineExpired();
+        checkpointed = drainRequested_ && !result.ok &&
+                       token.cancelled() && !token.deadlineExpired();
     }
-    finishJob(job, result, drainCancelled);
-}
 
-void
-Daemon::finishJob(const QueuedJob &job, const JobResult &result,
-                  bool checkpointed)
-{
     const std::string line = writeResult(result);
     if (checkpointed) {
         // No terminal journal record: the job is still pending and the
         // next incarnation re-runs it (resuming from its segment
         // checkpoint), producing this exact line.
         statDrainCancelled_.fetch_add(1, std::memory_order_relaxed);
-        obs::instantEvent("daemon", "drain-checkpointed",
-                          job.prepared.req.id);
+        obs::instantEvent("daemon", "drain-checkpointed", req.id);
     } else {
         {
             std::lock_guard<std::mutex> lock(journalMutex_);
             if (journal_.isOpen())
-                journal_.appendDone(job.journalSeq, job.prepared.req.id,
-                                    line);
+                journal_.appendDone(job.journalSeq, req.id, line);
         }
         if (resultsFile_ != nullptr) {
             std::fwrite(line.data(), 1, line.size(), resultsFile_);
@@ -1059,20 +1020,6 @@ Daemon::finishJob(const QueuedJob &job, const JobResult &result,
             std::fflush(resultsFile_);
         }
         statCompleted_.fetch_add(1, std::memory_order_relaxed);
-
-        static obs::Counter &jobs_done = obs::Registry::global().counter(
-            "serve_jobs_completed_total",
-            "Jobs finished by the scheduler");
-        static obs::Histogram &wall_hist =
-            obs::Registry::global().histogram(
-                "serve_job_wall_ms", "Per-job run time in milliseconds");
-        static obs::Histogram &wait_hist =
-            obs::Registry::global().histogram(
-                "serve_job_queue_wait_ms",
-                "Submission-to-start wait in milliseconds");
-        jobs_done.inc();
-        wall_hist.observe(result.telemetry.wallMs);
-        wait_hist.observe(result.telemetry.queueWaitMs);
     }
 
     if (!job.replayed) {

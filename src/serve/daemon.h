@@ -13,12 +13,15 @@
  *    single-threaded by construction.
  *
  *  - The *worker thread* pops jobs in priority/EDF order (serve/slo)
- *    and runs them one at a time through serve::JobRunner; the
- *    simulators inside a job run serial loops, so --threads has no
- *    effect here until the daemon runs jobs on the batch scheduler's
- *    job pool.  Completions are
- *    handed back to the IO thread through a queue plus a wake byte on
- *    the self-pipe.
+ *    and runs them one at a time through serve::JobRunner::serve, the
+ *    job envelope batch serve and the cluster worker share (span,
+ *    timeout and deadline arming, envelope telemetry, job metrics).
+ *    The daemon adds only what is its own: the in-flight token it
+ *    registers for drain, waived deadlines for replayed jobs, the
+ *    journal record, and the hand-off to the results file and the
+ *    client.  The simulators inside a job run serial loops, so
+ *    --threads has no effect here.  Completions are handed back to
+ *    the IO thread through a queue plus a wake byte on the self-pipe.
  *
  * Requests reuse the batch JSONL format (serve/job) with the
  * scheduling extras: `priority` (interactive | batch | best-effort),
@@ -50,7 +53,6 @@
 #define RASENGAN_SERVE_DAEMON_H
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -63,6 +65,7 @@
 #include <vector>
 
 #include "exec/cancel.h"
+#include "obs/clock.h"
 #include "serve/admission.h"
 #include "serve/journal.h"
 #include "serve/jsonl.h"
@@ -176,11 +179,12 @@ class Daemon
     struct QueuedJob
     {
         PreparedJob prepared;
-        SloJob slo; ///< slo.deadlineMs is *absolute* ms since start
+        SloJob slo; ///< slo.deadlineMs is *absolute* obs-clock ms
         uint64_t journalSeq = 0;
         uint64_t connId = 0;   ///< 0 when the client is gone (replay)
         bool replayed = false; ///< deadline/timeout enforcement waived
-        double acceptMs = 0.0; ///< acceptance time, ms since start
+        /** obs-clock acceptance time; daemon start for replayed jobs. */
+        obs::TimeNanos acceptedAt = 0;
     };
 
     struct Completion
@@ -207,12 +211,9 @@ class Daemon
 
     // -- worker thread ---------------------------------------------
     void workerLoop();
-    void runOne(QueuedJob job);
-    void finishJob(const QueuedJob &job, const JobResult &result,
-                   bool checkpointed);
+    void runOne(const QueuedJob &job);
 
     // -- shared helpers --------------------------------------------
-    double nowMs() const;
     void wake(char code);
     void updateQueueGauges();
     void enqueue(QueuedJob job);
@@ -251,7 +252,7 @@ class Daemon
     std::FILE *resultsFile_ = nullptr;
 
     uint64_t arrivalCounter_ = 0;
-    std::chrono::steady_clock::time_point epoch_;
+    const obs::TimeNanos started_; ///< obs clock at construction
 
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};

@@ -13,7 +13,9 @@
 #include "core/rasengan.h"
 #include "device/device.h"
 #include "problems/io.h"
+#include "obs/metrics.h"
 #include "problems/suite.h"
+#include "serve/admission.h"
 #include "serve/cachekey.h"
 
 namespace rasengan::serve {
@@ -110,19 +112,40 @@ makeResilience(const JobRequest &req, uint64_t child_seed,
     return r;
 }
 
-} // namespace
-
+/**
+ * Deterministic 128-bit (32-hex) distributed trace id for @p job: a
+ * pure function of the job's child seed and its correlation id, so two
+ * submissions of equal work under different job ids still get distinct
+ * traces.  The domain constant keeps trace ids disjoint from every
+ * seed-derivation stream.
+ */
 std::string
 traceIdForJob(const PreparedJob &job)
 {
-    // Pure function of (childSeed, job id): the coordinator and a
-    // single-process scheduler derive the same id for the same
-    // admitted job.  The domain constant keeps trace ids disjoint from
-    // every seed-derivation stream.
     uint64_t hi = mixSeed(job.childSeed ^ 0x7261636554726163ull);
     uint64_t lo = mixSeed(hi ^ fnv1a64(job.req.id));
     return hex16(hi) + hex16(lo);
 }
+
+struct JobMetrics
+{
+    obs::Counter &completed = obs::Registry::global().counter(
+        "serve_jobs_completed_total", "Jobs finished by the scheduler");
+    obs::Histogram &wallMs = obs::Registry::global().histogram(
+        "serve_job_wall_ms", "Per-job run time in milliseconds");
+    obs::Histogram &queueWaitMs = obs::Registry::global().histogram(
+        "serve_job_queue_wait_ms",
+        "Submission-to-start wait in milliseconds");
+};
+
+JobMetrics &
+jobMetrics()
+{
+    static JobMetrics metrics;
+    return metrics;
+}
+
+} // namespace
 
 JobRunner::JobRunner(RunnerOptions options,
                      std::shared_ptr<ArtifactCache> cache)
@@ -175,8 +198,69 @@ JobRunner::prepare(const JobRequest &req) const
         fnv1a64(canonicalRequestText(req, out.job.canonicalProblem));
     out.job.childSeed = mixSeed(contentHash ^ options_.batchSeed);
     out.job.fingerprint = hex16(contentHash);
+    // Minting is unconditional and deterministic, so telemetry lines
+    // stay byte-identical whether tracing is on or off; a request's own
+    // hint (a client's, or the coordinator's on a worker) wins.
+    if (out.job.req.traceHint.empty())
+        out.job.req.traceHint = traceIdForJob(out.job);
     out.ok = true;
     return out;
+}
+
+JobResult
+JobRunner::serve(const PreparedJob &job, const JobContext &ctx,
+                 exec::CancelToken &cancel) const
+{
+    const JobRequest &req = job.req;
+    obs::SpanContext span_ctx = ctx.parent;
+    span_ctx.traceId = req.traceHint;
+    obs::Span span(ctx.spanCategory, "job", req.id, span_ctx);
+    const obs::TimeNanos start = obs::nowNanos();
+
+    JobResult result;
+    if (cancel.cancelled()) {
+        // Stopped before it started: cheap and side-effect free, so a
+        // stopping batch drains at once while running jobs finish.
+        result.ok = false;
+        result.error = "interrupted: batch stopped before this job "
+                       "started";
+        result.id = req.id;
+        result.accepted = true;
+        result.problemId = job.problem->id();
+        result.numVars = job.problem->numVars();
+        result.childSeed = job.childSeed;
+        result.telemetry.priority = req.priority;
+    } else {
+        // The tighter of the per-job timeout and the caller's deadline;
+        // a deadline already passed trips at the first checkpoint.
+        double budget_ms = req.timeoutMs;
+        if (ctx.deadline != 0) {
+            const double left_ms =
+                ctx.deadline > start
+                    ? static_cast<double>(ctx.deadline - start) * 1e-6
+                    : 1e-3;
+            if (budget_ms <= 0.0 || left_ms < budget_ms)
+                budget_ms = left_ms;
+        }
+        if (budget_ms > 0.0)
+            cancel.setDeadlineSeconds(budget_ms * 1e-3);
+        result = run(job, &cancel);
+    }
+
+    result.costUnits = estimateJobCost(req, job.problem->numVars());
+    result.telemetry.traceId = req.traceHint;
+    const obs::TimeNanos end = obs::nowNanos();
+    result.telemetry.queueWaitMs =
+        start > ctx.acceptedAt
+            ? static_cast<double>(start - ctx.acceptedAt) * 1e-6
+            : 0.0;
+    result.telemetry.wallMs = static_cast<double>(end - start) * 1e-6;
+
+    JobMetrics &metrics = jobMetrics();
+    metrics.completed.inc();
+    metrics.wallMs.observe(result.telemetry.wallMs);
+    metrics.queueWaitMs.observe(result.telemetry.queueWaitMs);
+    return result;
 }
 
 JobResult

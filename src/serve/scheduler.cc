@@ -1,11 +1,9 @@
 #include "serve/scheduler.h"
 
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "obs/metrics.h"
 
 namespace rasengan::serve {
 
@@ -63,21 +61,9 @@ BatchScheduler::submit(const JobRequest &req)
     }
 
     results_.emplace_back();
-    JobResult &slot = results_.back();
-    slot.id = req.id;
-    slot.costUnits = screened.costUnits;
-    slot.accepted = true;
-    // Every admitted job gets a trace id (forwarded hint wins --
-    // cluster workers must stitch under the coordinator's id).
-    // Minting is unconditional and deterministic, so telemetry lines
-    // stay byte-identical whether tracing is on or off.
-    if (screened.prepared.req.traceHint.empty())
-        screened.prepared.req.traceHint =
-            traceIdForJob(screened.prepared);
     obs::instantEvent("serve", "job-queued", req.id);
-    pending_.push_back(PendingJob{std::move(screened.prepared),
-                                  screened.costUnits, index,
-                                  obs::nowNanos()});
+    pending_.push_back(
+        PendingJob{std::move(screened.prepared), index, obs::nowNanos()});
     return index;
 }
 
@@ -90,13 +76,10 @@ BatchScheduler::runAll()
         parallel::setThreadCount(options_.threads);
     // Per-job spans run on pool threads, which do not inherit this
     // thread's span stack; the batch span id is passed down explicitly
-    // so the job spans still parent under the batch.  Cluster workers
-    // suppress it: the coordinator's span is the batch parent there.
-    std::optional<obs::Span> batch_span;
-    if (!options_.suppressBatchSpan)
-        batch_span.emplace("serve", "batch",
-                           "jobs=" + std::to_string(pending_.size()));
-    const obs::SpanId batch_id = batch_span ? batch_span->id() : 0;
+    // so the job spans still parent under the batch.
+    obs::Span batch_span("serve", "batch",
+                         "jobs=" + std::to_string(pending_.size()));
+    const obs::SpanId batch_id = batch_span.id();
     parallel::parallelForDynamic(0, pending_.size(),
                                  [this, batch_id](uint64_t i) {
                                      runJob(pending_[i], batch_id);
@@ -106,67 +89,19 @@ BatchScheduler::runAll()
 void
 BatchScheduler::runJob(PendingJob &job, obs::SpanId batch_span)
 {
-    const JobRequest &req = job.prepared.req;
-    // Remote parent (cluster worker) wins over the local batch span;
-    // either way the job span carries the job's trace id so shipped
-    // forests stitch under it.
-    obs::SpanContext ctx;
-    ctx.traceId = req.traceHint;
-    ctx.remote = options_.traceRemoteParent != 0;
-    ctx.parent = ctx.remote ? options_.traceRemoteParent : batch_span;
-    obs::Span span("serve", "job", req.id, ctx);
-    const obs::TimeNanos start = obs::nowNanos();
-
-    JobResult result;
+    exec::CancelToken cancel;
     if (options_.stopFlag != nullptr &&
         options_.stopFlag->load(std::memory_order_relaxed)) {
-        // Graceful stop: admitted but never started.  Cheap and
-        // side-effect free, so the batch drains almost immediately
-        // while in-flight jobs finish normally.
+        // Graceful stop: a token cancelled before the job starts makes
+        // serve() report it interrupted without running it.
         ++interrupted_;
-        result.ok = false;
-        result.error = "interrupted: batch stopped before this job "
-                       "started";
-        result.id = req.id;
-        result.accepted = true;
-        result.problemId = job.prepared.problem->id();
-        result.numVars = job.prepared.problem->numVars();
-        result.childSeed = job.prepared.childSeed;
-        result.telemetry.priority = req.priority;
-    } else {
-        // Per-job wall-clock timeout: armed here (not in the runner)
-        // so the token's lifetime spans exactly this execution.
-        exec::CancelToken deadline;
-        const exec::CancelToken *token = nullptr;
-        if (req.timeoutMs > 0.0) {
-            deadline.setDeadlineSeconds(req.timeoutMs * 1e-3);
-            token = &deadline;
-        }
-        result = runner_.run(job.prepared, token);
+        cancel.cancel();
     }
-
-    result.costUnits = job.costUnits;
-    result.telemetry.traceId = req.traceHint;
-    const obs::TimeNanos end = obs::nowNanos();
-    result.telemetry.queueWaitMs =
-        static_cast<double>(start - job.submitTime) * 1e-6;
-    result.telemetry.wallMs = static_cast<double>(end - start) * 1e-6;
-
-    static obs::Counter &jobs_done = obs::Registry::global().counter(
-        "serve_jobs_completed_total", "Jobs finished by the scheduler");
-    static obs::Histogram &wall_hist = obs::Registry::global().histogram(
-        "serve_job_wall_ms", "Per-job run time in milliseconds");
-    static obs::Histogram &wait_hist = obs::Registry::global().histogram(
-        "serve_job_queue_wait_ms",
-        "Submission-to-start wait in milliseconds");
-    jobs_done.inc();
-    wall_hist.observe(result.telemetry.wallMs);
-    wait_hist.observe(result.telemetry.queueWaitMs);
-
-    results_[job.resultIndex] = std::move(result);
+    JobContext ctx;
+    ctx.parent.parent = batch_span;
+    ctx.acceptedAt = job.submitTime;
+    results_[job.resultIndex] = runner_.serve(job.prepared, ctx, cancel);
     admission_.release();
-    if (options_.onJobComplete)
-        options_.onJobComplete(job.resultIndex, results_[job.resultIndex]);
 }
 
 } // namespace rasengan::serve

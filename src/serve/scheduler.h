@@ -15,9 +15,10 @@
  * order.  Cache hits return values that are deterministic functions of
  * their keys, so a warm cache changes latency, never results.
  *
- * Per-job preparation and execution live in serve::JobRunner (shared
- * with the always-on daemon); this class adds the batch-shaped parts:
- * serial admission, slot allocation, and the parallel dispatch loop.
+ * Every job runs through JobRunner::serve, the envelope batch serve
+ * shares with the daemon and the cluster worker; this class adds the
+ * batch-shaped parts: serial admission, slot allocation, the stop
+ * flag, and the parallel dispatch loop.
  *
  * The job pool is the only thing that runs threads: runAll applies
  * ServiceOptions::threads once, before dispatch, and the simulators
@@ -28,12 +29,11 @@
 #define RASENGAN_SERVE_SCHEDULER_H
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/trace.h" // SpanId + the obs clock
+#include "obs/trace.h" // the obs clock
 #include "serve/admission.h"
 #include "serve/artifact_cache.h"
 #include "serve/job.h"
@@ -50,27 +50,6 @@ struct ServeOptions : ServiceOptions
      * interrupted failures instead of executing.  nullptr disables.
      */
     const std::atomic<bool> *stopFlag = nullptr;
-    /**
-     * Invoked from the pool thread that finished a job, right after its
-     * result slot is written, with the slot index and the final result.
-     * Callbacks for different jobs run CONCURRENTLY; the callee
-     * serializes its own side effects (a cluster worker streams result
-     * frames under a socket mutex).  Rejected submissions never reach
-     * this hook -- their slots complete inside submit().
-     */
-    std::function<void(size_t, const JobResult &)> onJobComplete;
-    /**
-     * Distributed-trace wiring for cluster workers.  When
-     * traceRemoteParent is nonzero, per-job spans open under that
-     * REMOTE parent (the coordinator's batch span id, propagated at
-     * hello) instead of the local batch span, flagged as crossing a
-     * process boundary.  suppressBatchSpan drops the local
-     * "serve:batch" span entirely: the coordinator owns the batch-level
-     * span, and a per-worker batch span would make the merged span
-     * forest depend on the worker count.
-     */
-    obs::SpanId traceRemoteParent = 0;
-    bool suppressBatchSpan = false;
 };
 
 /**
@@ -138,7 +117,6 @@ class BatchScheduler
     struct PendingJob
     {
         PreparedJob prepared;
-        double costUnits = 0.0;
         size_t resultIndex = 0;
         obs::TimeNanos submitTime = 0;
     };

@@ -5,7 +5,8 @@
  * validation, deterministic placement, process-fault-plan parsing,
  * coordinator/scheduler screening parity, and loopback end-to-end runs
  * -- including a worker lost mid-batch -- whose merged output must be
- * byte-identical to a single-process BatchScheduler.
+ * byte-identical to a single-process BatchScheduler (and, for one mixed
+ * request set, to the serve daemon's responses).
  *
  * End-to-end cases run real workers as in-process threads over
  * socketpairs: the shared simulation pool serializes concurrent batch
@@ -16,7 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -32,10 +36,13 @@
 #include "cluster/worker.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "obs/flight.h"
 #include "obs/trace.h"
 #include "exec/faults.h"
 #include "serve/admission.h"
+#include "serve/daemon.h"
 #include "serve/job.h"
+#include "serve/jsonl.h"
 #include "serve/scheduler.h"
 #include "serve/workload.h"
 
@@ -405,6 +412,7 @@ singleProcessLines(const std::vector<serve::JobRequest> &requests,
 struct LoopbackRun
 {
     std::vector<std::string> lines;
+    std::vector<std::string> telemetry;
     CoordinatorStats stats;
     bool ok = false;
     std::string error;
@@ -418,7 +426,8 @@ LoopbackRun
 runLoopback(const std::vector<serve::JobRequest> &requests,
             uint64_t batchSeed, int workers,
             const std::string &faultSpec = "", int faultWorker = -1,
-            int threadCount = 0)
+            int threadCount = 0,
+            const serve::AdmissionLimits &limits = serve::AdmissionLimits())
 {
     LoopbackRun run;
     std::vector<int> coordinatorFds;
@@ -438,6 +447,7 @@ runLoopback(const std::vector<serve::JobRequest> &requests,
     options.threads = threadCount;
     options.faultSpec = faultSpec;
     options.faultWorker = faultWorker;
+    options.limits = limits;
     options.retry.initialDelaySeconds = 0.0; // no test-time backoff
     options.retry.jitter = 0.0;
     Coordinator coordinator(options, std::move(coordinatorFds));
@@ -447,6 +457,7 @@ runLoopback(const std::vector<serve::JobRequest> &requests,
     for (auto &t : threads)
         t.join();
     run.lines = coordinator.resultLines();
+    run.telemetry = coordinator.telemetryLines();
     run.stats = coordinator.stats();
     run.mergedSignature = coordinator.mergedSignature();
     run.spansDropped = coordinator.shippedSpansDropped();
@@ -508,49 +519,133 @@ TEST(Cluster, AllWorkersLostSynthesizesFailuresNotHangs)
     EXPECT_EQ(failed, run.stats.jobsSynthesized);
 }
 
-TEST(Cluster, RejectionsMergeIntoTheirSubmissionSlots)
-{
-    std::vector<serve::JobRequest> requests =
-        serve::generateWorkload(6, 23);
-    requests[1].shots = 1u << 19;
-    requests[1].execution = "sampled"; // too many shots under the cap
+// ---------------------------------------------------------------------
+// One job core: batch, cluster and daemon agree
+// ---------------------------------------------------------------------
 
+namespace {
+
+/** Send each request line to the daemon at unix socket @p path and read
+ *  its response before sending the next: the responses in request
+ *  order (an empty string where none arrived within 120 s). */
+std::vector<std::string>
+daemonResponses(const std::string &path,
+                const std::vector<serve::JobRequest> &requests)
+{
+    std::vector<std::string> lines;
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                  path.c_str());
+    if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                            sizeof(addr)) != 0) {
+        if (fd >= 0)
+            ::close(fd);
+        return lines;
+    }
+    std::string buffer;
+    for (const auto &req : requests) {
+        const std::string out = serve::writeRequest(req) + "\n";
+        if (::send(fd, out.data(), out.size(), 0) !=
+            static_cast<ssize_t>(out.size()))
+            break;
+        size_t nl;
+        while ((nl = buffer.find('\n')) == std::string::npos) {
+            pollfd pfd{fd, POLLIN, 0};
+            char chunk[4096];
+            ssize_t n = ::poll(&pfd, 1, 120000) == 1
+                            ? ::recv(fd, chunk, sizeof(chunk), 0)
+                            : 0;
+            if (n <= 0)
+                break;
+            buffer.append(chunk, static_cast<size_t>(n));
+        }
+        if (nl == std::string::npos)
+            break;
+        lines.push_back(buffer.substr(0, nl));
+        buffer.erase(0, nl + 1);
+    }
+    ::close(fd);
+    lines.resize(requests.size());
+    return lines;
+}
+
+serve::JsonValue
+jsonField(const std::string &line, const std::string &key)
+{
+    serve::JsonParseResult parsed = serve::parseFlatJson(line);
+    return parsed.ok ? parsed.object[key] : serve::JsonValue{};
+}
+
+} // namespace
+
+TEST(Cluster, OneJobCoreGivesTheSameLinesOnEveryPath)
+{
+    // A mixed set: rasengan and baseline jobs, a validation rejection
+    // (unknown benchmark) and an admission rejection (too many shots).
+    std::vector<serve::JobRequest> requests =
+        serve::generateWorkload(7, 37);
+    requests[1].benchmark = "Z9";
+    requests[3].shots = 1u << 16;
+    requests[3].execution = "sampled";
     serve::AdmissionLimits limits;
     limits.maxShotsPerJob = 4096;
+    const uint64_t seed = 43;
 
     serve::ServeOptions serveOptions;
-    serveOptions.batchSeed = 2;
+    serveOptions.batchSeed = seed;
     serveOptions.limits = limits;
     serve::BatchScheduler scheduler(serveOptions);
     for (const auto &req : requests)
         scheduler.submit(req);
     scheduler.runAll();
-    std::vector<std::string> expected;
-    for (const auto &result : scheduler.results())
-        expected.push_back(serve::writeResult(result));
-
-    std::vector<int> coordinatorFds;
-    std::vector<std::thread> threads;
-    for (int w = 0; w < 2; ++w) {
-        int pair[2];
-        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-        coordinatorFds.push_back(pair[0]);
-        threads.emplace_back([fd = pair[1]]() { runWorker(fd); });
+    std::vector<std::string> batchLines;
+    std::vector<std::string> batchTelemetry;
+    for (const auto &result : scheduler.results()) {
+        batchLines.push_back(serve::writeResult(result));
+        batchTelemetry.push_back(serve::writeTelemetry(result));
     }
-    CoordinatorOptions options;
-    options.batchSeed = 2;
-    options.limits = limits;
-    Coordinator coordinator(options, std::move(coordinatorFds));
-    for (const auto &req : requests)
-        coordinator.submit(req);
-    std::string error;
-    ASSERT_TRUE(coordinator.runAll(&error)) << error;
-    for (auto &t : threads)
-        t.join();
+    ASSERT_NE(batchLines[1].find("\"reject_code\":\"validation\""),
+              std::string::npos);
+    ASSERT_NE(batchLines[3].find("\"reject_code\":\"admission\""),
+              std::string::npos);
 
-    EXPECT_EQ(coordinator.resultLines(), expected);
-    EXPECT_EQ(coordinator.stats().rejected, 1u);
-    EXPECT_EQ(coordinator.telemetryLines().size(), requests.size());
+    for (int workers : {1, 2}) {
+        LoopbackRun run =
+            runLoopback(requests, seed, workers, "", -1, 0, limits);
+        ASSERT_TRUE(run.ok) << run.error;
+        EXPECT_EQ(run.lines, batchLines) << workers << " workers";
+        EXPECT_EQ(run.stats.rejected, 2u);
+        ASSERT_EQ(run.telemetry.size(), requests.size());
+        for (size_t i = 0; i < requests.size(); ++i) {
+            EXPECT_EQ(jsonField(run.telemetry[i], "trace_id").str,
+                      jsonField(batchTelemetry[i], "trace_id").str)
+                << "slot " << i << ", " << workers << " workers";
+            EXPECT_EQ(jsonField(run.lines[i], "cost_units").num,
+                      jsonField(batchLines[i], "cost_units").num)
+                << "slot " << i << ", " << workers << " workers";
+        }
+    }
+    EXPECT_EQ(jsonField(batchTelemetry[0], "trace_id").str.size(), 32u);
+
+    const std::string dir = ::testing::TempDir() + "rasengan_core_" +
+                            std::to_string(::getpid());
+    ::mkdir(dir.c_str(), 0700);
+    serve::DaemonOptions daemonOptions;
+    daemonOptions.listen = "unix:" + dir + "/d.sock";
+    daemonOptions.batchSeed = seed;
+    daemonOptions.limits = limits;
+    serve::Daemon daemon(daemonOptions);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    std::vector<std::string> daemonLines =
+        daemonResponses(dir + "/d.sock", requests);
+    daemon.stop();
+    // The daemon switches the process-wide flight recorder on; switch
+    // it off again so the tests after this one run as before.
+    obs::flight::disable();
+    EXPECT_EQ(daemonLines, batchLines);
 }
 
 // ---------------------------------------------------------------------

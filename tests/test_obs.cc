@@ -301,8 +301,9 @@ TEST(Trace, ExplicitParentLinksAcrossPoolThreads)
             parallel::parallelForDynamic(0, 5, [&](uint64_t i) {
                 // Pool threads do not inherit the dispatcher's span
                 // stack; the explicit parent re-links the tree.
-                obs::Span job("serve", "job", std::to_string(i),
-                              batch_id);
+                obs::SpanContext ctx;
+                ctx.parent = batch_id;
+                obs::Span job("serve", "job", std::to_string(i), ctx);
             });
         }
         obs::stopTracing();

@@ -362,8 +362,12 @@ TEST(AliasTable, SingleOutcome)
         EXPECT_EQ(table.sample(rng), 0u);
 }
 
+// The pool's workers are alive in this binary (RASENGAN_THREADS), and a
+// fork()ed child of a multi-threaded process can hang (a TSan build
+// did, in the first test below): the death tests re-execute instead.
 TEST(AliasTable, RejectsDegenerateInput)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH({ qsim::AliasTable t((std::vector<double>{})); },
                  "alias");
     EXPECT_DEATH({ qsim::AliasTable t(std::vector<double>{0.0, 0.0}); },
@@ -372,6 +376,7 @@ TEST(AliasTable, RejectsDegenerateInput)
 
 TEST(AliasTable, RejectsNonFiniteWeights)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const double nan = std::nan("");
     const double inf = std::numeric_limits<double>::infinity();
     EXPECT_DEATH({ qsim::AliasTable t(std::vector<double>{0.5, nan}); },
@@ -388,6 +393,7 @@ TEST(AliasTable, RejectsNonFiniteWeights)
 
 TEST(AliasTable, WeightedIndexRejectsNonFinite)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Rng rng(3);
     const double nan = std::nan("");
     EXPECT_DEATH(rng.weightedIndex({1.0, nan}), "non-finite");
