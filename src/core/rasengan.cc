@@ -53,6 +53,36 @@ planCounters()
     return counters;
 }
 
+/**
+ * Gate-level circuit of @p seg over @p num_vars qubits: X gates
+ * preparing @p init, then the segment's transition operators at
+ * @p times (indexed by chain position).
+ */
+circuit::Circuit
+buildSegmentCircuit(int num_vars,
+                    const std::vector<TransitionHamiltonian> &transitions,
+                    const Chain &chain, const Segment &seg,
+                    const BitVec &init, const std::vector<double> &times)
+{
+    circuit::Circuit circ(num_vars);
+    // A column of X gates prepares the segment's input basis state
+    // (Section 4.2: equivalent to circuit merging).
+    for (int q = 0; q < num_vars; ++q)
+        if (init.get(q))
+            circ.x(q);
+    for (int pos = seg.firstStep; pos < seg.firstStep + seg.stepCount;
+         ++pos) {
+        transitions[chain.steps[pos]].appendToCircuit(circ, times[pos]);
+    }
+    return circ;
+}
+
+circuit::TranspileOptions
+segmentTranspileOptions(const RasenganOptions &options)
+{
+    return {.mode = options.transpileMode, .lowerToCx = true};
+}
+
 } // namespace
 
 PipelineArtifacts
@@ -85,27 +115,49 @@ buildPipelineArtifacts(const problems::Problem &problem,
             partitionChain(static_cast<int>(artifacts.chain.steps.size()),
                            options.transitionsPerSegment);
     }
+
+    {
+        // Each segment at nominal times, lowered and optimized once;
+        // summaries and the latency model only read these.
+        obs::Span span("transition", "segment-costs");
+        device::LatencyModel latency(options.latencyDevice);
+        const std::vector<double> nominal(artifacts.chain.steps.size(),
+                                          options.initialTime);
+        for (const Segment &seg : artifacts.segments) {
+            circuit::Circuit lowered = circuit::transpile(
+                buildSegmentCircuit(problem.numVars(), artifacts.transitions,
+                                    artifacts.chain, seg,
+                                    problem.trivialFeasible(), nominal),
+                segmentTranspileOptions(options));
+            circuit::Circuit optimized = circuit::optimizeCircuit(lowered);
+            artifacts.segmentCosts.push_back(
+                {.circuitUs = latency.circuitTimeUs(lowered),
+                 .depth = optimized.depth(),
+                 .cx = optimized.countCx()});
+        }
+    }
     return artifacts;
 }
 
 RasenganSolver::RasenganSolver(problems::Problem problem,
                                RasenganOptions options)
     : problem_(std::move(problem)), options_(std::move(options)),
+      pipeline_(options_.pipeline
+                    ? options_.pipeline
+                    : std::make_shared<const PipelineArtifacts>(
+                          buildPipelineArtifacts(problem_, options_))),
       executor_(std::make_unique<exec::ResilientExecutor>(
           options_.resilience))
 {
-    if (options_.pipeline) {
-        transitions_ = options_.pipeline->transitions;
-        chain_ = options_.pipeline->chain;
-        segments_ = options_.pipeline->segments;
-    } else {
-        PipelineArtifacts artifacts =
-            buildPipelineArtifacts(problem_, options_);
-        transitions_ = std::move(artifacts.transitions);
-        chain_ = std::move(artifacts.chain);
-        segments_ = std::move(artifacts.segments);
+    device::LatencyModel latency(options_.latencyDevice);
+    for (int s = 0; s < static_cast<int>(segments().size()); ++s) {
+        uint64_t shots = static_cast<uint64_t>(
+            static_cast<double>(options_.shotsPerSegment) *
+            std::pow(std::max(options_.shotGrowth, 1e-6), s));
+        segmentSeconds_.push_back(latency.executionTimeSeconds(
+            segmentCosts()[s].circuitUs, shots));
     }
-    planCache_.resize(segments_.size());
+    planCache_.resize(segments().size());
 }
 
 qsim::SparseState
@@ -116,7 +168,7 @@ RasenganSolver::evolveSegment(int seg_index, const BitVec &init,
     // taken below, so the span tree is independent of cache state.
     obs::Span span("segment-evolve", "evolve",
                    "seg=" + std::to_string(seg_index));
-    const Segment &seg = segments_[seg_index];
+    const Segment &seg = segments()[seg_index];
     const int n = problem_.numVars();
     const double threshold = options_.sparsePruneThreshold;
     const double *seg_times = times.data() + seg.firstStep;
@@ -128,7 +180,7 @@ RasenganSolver::evolveSegment(int seg_index, const BitVec &init,
             qsim::SparseStepPlan *step = nullptr;
             if (plan != nullptr)
                 step = &plan->steps.emplace_back();
-            transitions_[chain_.steps[seg.firstStep + k]].applyTo(
+            transitions()[chain().steps[seg.firstStep + k]].applyTo(
                 sim, seg_times[k], threshold, step);
         }
         if (plan != nullptr) {
@@ -186,8 +238,7 @@ RasenganSolver::evolveSegment(int seg_index, const BitVec &init,
 circuit::Circuit
 RasenganSolver::lowerSegment(const circuit::Circuit &circ) const
 {
-    circuit::TranspileOptions topts{.mode = options_.transpileMode,
-                                    .lowerToCx = true};
+    circuit::TranspileOptions topts = segmentTranspileOptions(options_);
     if (options_.lowerCircuit)
         return options_.lowerCircuit(circ, topts);
     return circuit::transpile(circ, topts);
@@ -198,40 +249,23 @@ RasenganSolver::segmentCircuit(int seg_index, const BitVec &init,
                                const std::vector<double> &times) const
 {
     panic_if(seg_index < 0 ||
-                 seg_index >= static_cast<int>(segments_.size()),
+                 seg_index >= static_cast<int>(segments().size()),
              "segment {} out of range", seg_index);
-    panic_if(times.size() != chain_.steps.size(),
-             "expected {} evolution times, got {}", chain_.steps.size(),
+    panic_if(times.size() != chain().steps.size(),
+             "expected {} evolution times, got {}", chain().steps.size(),
              times.size());
-    const Segment &seg = segments_[seg_index];
-    const int n = problem_.numVars();
-
-    circuit::Circuit circ(n);
-    // A column of X gates prepares the segment's input basis state
-    // (Section 4.2: equivalent to circuit merging).
-    for (int q = 0; q < n; ++q)
-        if (init.get(q))
-            circ.x(q);
-    for (int pos = seg.firstStep; pos < seg.firstStep + seg.stepCount;
-         ++pos) {
-        transitions_[chain_.steps[pos]].appendToCircuit(circ, times[pos]);
-    }
-    return circ;
+    return buildSegmentCircuit(problem_.numVars(), transitions(), chain(),
+                               segments()[seg_index], init, times);
 }
 
 std::pair<int, int>
 RasenganSolver::maxSegmentCost() const
 {
-    std::vector<double> nominal(chain_.steps.size(), options_.initialTime);
     int max_depth = 0;
     int max_cx = 0;
-    for (int s = 0; s < static_cast<int>(segments_.size()); ++s) {
-        circuit::Circuit circ =
-            segmentCircuit(s, problem_.trivialFeasible(), nominal);
-        circuit::Circuit lowered = lowerSegment(circ);
-        circuit::Circuit optimized = circuit::optimizeCircuit(lowered);
-        max_depth = std::max(max_depth, optimized.depth());
-        max_cx = std::max(max_cx, optimized.countCx());
+    for (const SegmentCost &cost : segmentCosts()) {
+        max_depth = std::max(max_depth, cost.depth);
+        max_cx = std::max(max_cx, cost.cx);
     }
     return {max_depth, max_cx};
 }
@@ -303,12 +337,12 @@ RasenganDistribution
 RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
                         const ExecHooks &hooks) const
 {
-    panic_if(times.size() != chain_.steps.size(),
-             "expected {} evolution times, got {}", chain_.steps.size(),
+    panic_if(times.size() != chain().steps.size(),
+             "expected {} evolution times, got {}", chain().steps.size(),
              times.size());
     obs::Span span("solver", "execute");
     const int n = problem_.numVars();
-    const int num_segments = static_cast<int>(segments_.size());
+    const int num_segments = static_cast<int>(segments().size());
     RasenganDistribution result;
 
     // Cooperative deadline/cancel checkpoints between segment
@@ -326,7 +360,7 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
     if (cancelTripped())
         return result;
 
-    if (segments_.empty()) {
+    if (segments().empty()) {
         // Full-rank constraints: the trivial solution is the only state.
         result.entries.emplace_back(problem_.trivialFeasible(), 1.0);
         return result;
@@ -444,8 +478,6 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
         }
     }
 
-    const std::vector<double> &seg_seconds = segmentSeconds();
-
     for (int s = first_seg; s < num_segments; ++s) {
         if (cancelTripped())
             return result;
@@ -481,7 +513,7 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
             job.shots = total_shots;
             job.numBits = n;
             job.rngSeed = job_seed;
-            job.attemptSeconds = seg_seconds[s];
+            job.attemptSeconds = segmentSeconds_[s];
             job.sample = [this, s, &times, &alloc](Rng &job_rng) {
                 return sampleSegment(s, times, alloc, job_rng);
             };
@@ -613,31 +645,11 @@ RasenganSolver::scoreDistribution(const RasenganDistribution &dist) const
     return acc;
 }
 
-const std::vector<double> &
-RasenganSolver::segmentSeconds() const
-{
-    if (segmentSeconds_.size() == segments_.size())
-        return segmentSeconds_;
-    device::LatencyModel latency(options_.latencyDevice);
-    std::vector<double> nominal(chain_.steps.size(), options_.initialTime);
-    segmentSeconds_.assign(segments_.size(), 0.0);
-    for (int s = 0; s < static_cast<int>(segments_.size()); ++s) {
-        circuit::Circuit circ =
-            segmentCircuit(s, problem_.trivialFeasible(), nominal);
-        circuit::Circuit lowered = lowerSegment(circ);
-        uint64_t shots = static_cast<uint64_t>(
-            static_cast<double>(options_.shotsPerSegment) *
-            std::pow(std::max(options_.shotGrowth, 1e-6), s));
-        segmentSeconds_[s] = latency.executionTimeSeconds(lowered, shots);
-    }
-    return segmentSeconds_;
-}
-
 double
 RasenganSolver::perExecutionQuantumSeconds() const
 {
     double total = 0.0;
-    for (double t : segmentSeconds())
+    for (double t : segmentSeconds_)
         total += t;
     return total;
 }
@@ -651,10 +663,10 @@ RasenganSolver::summarize(const std::vector<double> &times,
     RasenganResult res;
     res.training = std::move(training);
     res.numParams = numParams();
-    res.chainLength = static_cast<int>(chain_.steps.size());
-    res.unprunedLength = static_cast<int>(chain_.unprunedSteps.size());
-    res.numSegments = static_cast<int>(segments_.size());
-    res.feasibleCovered = chain_.reachableCount;
+    res.chainLength = static_cast<int>(chain().steps.size());
+    res.unprunedLength = static_cast<int>(chain().unprunedSteps.size());
+    res.numSegments = static_cast<int>(segments().size());
+    res.feasibleCovered = chain().reachableCount;
     res.classicalSeconds = classical_s;
     res.quantumSeconds = quantum_s;
     res.resumed = resume != nullptr;
@@ -749,11 +761,11 @@ RasenganSolver::run()
                 warn("checkpoint '{}' was written by a different execution "
                      "backend kind; ignoring it",
                      options_.checkpointPath);
-            } else if (resume_cp.times.size() != chain_.steps.size()) {
+            } else if (resume_cp.times.size() != chain().steps.size()) {
                 warn("checkpoint '{}' has {} evolution times but the chain "
                      "needs {}; ignoring it",
                      options_.checkpointPath, resume_cp.times.size(),
-                     chain_.steps.size());
+                     chain().steps.size());
             } else {
                 resume = true;
             }

@@ -124,16 +124,17 @@ struct RasenganOptions
     /// @name Artifact injection (src/serve)
     /// @{
     /**
-     * Precomputed pipeline artifacts (transitions, chain, segments) to
-     * adopt instead of recomputing them in the constructor.  Must have
-     * been built by buildPipelineArtifacts() for the SAME problem and
-     * the same simplify/prune/rounds/transitionsPerSegment/
-     * maxTrackedStates configuration -- the serve layer's ArtifactCache
-     * guarantees this by keying on the canonical problem + config text.
+     * Precomputed pipeline artifacts (transitions, chain, segments,
+     * nominal segment costs) to adopt instead of building them in the
+     * constructor.  Must have been built by buildPipelineArtifacts() for
+     * the SAME problem and the same values of every option it reads
+     * (see there) -- the serve layer's ArtifactCache guarantees this by
+     * keying on the canonical problem + those options.
      */
     std::shared_ptr<const struct PipelineArtifacts> pipeline;
     /**
-     * Optional transpile memo: when set, every segment lowering goes
+     * Optional transpile memo for the two noisy backends, which lower
+     * each segment at its trained times: when set, those lowerings go
      * through this hook instead of circuit::transpile directly, letting
      * the serve layer content-address transpiled circuits across jobs.
      * The hook MUST be semantically transparent (return exactly
@@ -165,12 +166,25 @@ struct RasenganOptions
 };
 
 /**
+ * Nominal cost of one segment: its circuit on the problem's trivial
+ * feasible input with every evolution time at initialTime, transpiled
+ * once and peephole-optimized once.
+ */
+struct SegmentCost
+{
+    /** LatencyModel::circuitTimeUs of the transpiled circuit. */
+    double circuitUs = 0.0;
+    int depth = 0; ///< depth after optimizeCircuit
+    int cx = 0;    ///< CX count after optimizeCircuit
+};
+
+/**
  * The expensive reusable artifacts of one solver configuration: the
  * transition-Hamiltonian set over the problem's homogeneous basis, the
- * pruned chain, and its segmentation.  Computed once by
- * buildPipelineArtifacts and shareable across every solve of the same
- * (problem, pipeline-config) pair -- the serve layer memoizes these in
- * its content-addressed cache and injects them via
+ * pruned chain, its segmentation, and each segment's nominal cost.
+ * Computed once by buildPipelineArtifacts and shareable across every
+ * solve of the same (problem, pipeline-config) pair -- the serve layer
+ * memoizes these in its content-addressed cache and injects them via
  * RasenganOptions::pipeline.
  */
 struct PipelineArtifacts
@@ -178,14 +192,17 @@ struct PipelineArtifacts
     std::vector<TransitionHamiltonian> transitions;
     Chain chain;
     std::vector<Segment> segments;
+    std::vector<SegmentCost> segmentCosts; ///< one per segment
 };
 
 /**
  * Build the pipeline artifacts exactly as the RasenganSolver
  * constructor would: basis extraction + simplification + augmentation,
- * chain construction with pruning/early-stop, and segmentation.  Only
- * the fields of @p options that shape the pipeline matter (simplify,
- * prune, rounds, transitionsPerSegment, maxTrackedStates).
+ * chain construction with pruning/early-stop, segmentation, and the
+ * nominal segment costs.  The fields of @p options read are the ones
+ * that shape the pipeline (simplify, prune, rounds,
+ * transitionsPerSegment, maxTrackedStates) and the ones the costs
+ * depend on (transpileMode, initialTime, latencyDevice).
  */
 PipelineArtifacts buildPipelineArtifacts(const problems::Problem &problem,
                                          const RasenganOptions &options);
@@ -271,11 +288,21 @@ class RasenganSolver
     /// @{
     const std::vector<TransitionHamiltonian> &transitions() const
     {
-        return transitions_;
+        return pipeline_->transitions;
     }
-    const Chain &chain() const { return chain_; }
-    const std::vector<Segment> &segments() const { return segments_; }
-    int numParams() const { return static_cast<int>(chain_.steps.size()); }
+    const Chain &chain() const { return pipeline_->chain; }
+    const std::vector<Segment> &segments() const
+    {
+        return pipeline_->segments;
+    }
+    const std::vector<SegmentCost> &segmentCosts() const
+    {
+        return pipeline_->segmentCosts;
+    }
+    int numParams() const
+    {
+        return static_cast<int>(pipeline_->chain.steps.size());
+    }
     /// @}
 
     /**
@@ -287,8 +314,9 @@ class RasenganSolver
                                     const std::vector<double> &times) const;
 
     /**
-     * Depth and CX count of the deepest segment after transpilation and
-     * peephole optimization (the paper's deployable-depth metric).
+     * Largest depth and CX count over the nominal segment costs (after
+     * transpilation and peephole optimization: the paper's
+     * deployable-depth metric).
      */
     std::pair<int, int> maxSegmentCost() const;
 
@@ -328,7 +356,6 @@ class RasenganSolver
                              double quantum_s,
                              const exec::SegmentCheckpoint *resume) const;
     double perExecutionQuantumSeconds() const;
-    const std::vector<double> &segmentSeconds() const;
     qsim::Counts sampleSegment(int seg_index,
                                const std::vector<double> &times,
                                const std::vector<std::pair<BitVec,
@@ -345,11 +372,11 @@ class RasenganSolver
 
     problems::Problem problem_;
     RasenganOptions options_;
-    std::vector<TransitionHamiltonian> transitions_;
-    Chain chain_;
-    std::vector<Segment> segments_;
+    std::shared_ptr<const PipelineArtifacts> pipeline_;
     std::unique_ptr<exec::ResilientExecutor> executor_;
-    mutable std::vector<double> segmentSeconds_; ///< latency cache
+    /** Latency-model seconds of one execution of each segment at its
+     *  shot count, from the nominal segment costs. */
+    std::vector<double> segmentSeconds_;
     /**
      * Rotation-plan memo: one map per segment, keyed by the segment's
      * input basis state.  Like executor_, this is per-solver mutable

@@ -17,7 +17,13 @@ double
 LatencyModel::executionTimeSeconds(const circuit::Circuit &circ,
                                    uint64_t shots) const
 {
-    double per_shot_us = circuitTimeUs(circ) + device_.shotOverheadUs;
+    return executionTimeSeconds(circuitTimeUs(circ), shots);
+}
+
+double
+LatencyModel::executionTimeSeconds(double circuit_us, uint64_t shots) const
+{
+    double per_shot_us = circuit_us + device_.shotOverheadUs;
     return per_shot_us * static_cast<double>(shots) * 1e-6;
 }
 

@@ -38,6 +38,12 @@ class LatencyModel
                                 uint64_t shots) const;
 
     /**
+     * The same for a circuit whose circuitTimeUs() is @p circuit_us
+     * (a cost computed once and stored, as in core::SegmentCost).
+     */
+    double executionTimeSeconds(double circuit_us, uint64_t shots) const;
+
+    /**
      * Quantum time of a segmented run: each (circuit, shots) pair is
      * executed independently (Figure 13's latency-vs-segments study).
      */

@@ -37,6 +37,7 @@ struct Ring
     Slot *slots = nullptr;
     std::atomic<uint64_t> head{0};      ///< entries ever claimed
     std::atomic<uint64_t> truncated{0}; ///< entries cut to the slot size
+    std::atomic<uint64_t> contended{0}; ///< entries lost to a slot race
 };
 
 /** Leaked on purpose: fatal-signal handlers may outlive static dtors. */
@@ -147,7 +148,8 @@ overwrittenCounter()
 {
     static Counter &c = Registry::global().counter(
         "obs_flight_dropped_total",
-        "Flight-recorder entries overwritten by ring wrap");
+        "Flight-recorder entries overwritten by ring wrap or lost to a "
+        "concurrent writer of the same slot");
     return c;
 }
 
@@ -165,7 +167,18 @@ publish(const char *text, size_t len, bool truncated)
     Slot &slot = g_ring.slots[idx % g_ring.capacity];
     // Odd seq marks the write window; the final store is keyed to idx
     // so every publication of this slot carries a distinct even value.
-    slot.seq.store(2 * idx + 1, std::memory_order_release);
+    // Writers whose indices differ by the capacity share the slot: one
+    // claims it with a CAS from an older even value, and a writer that
+    // finds it mid-write or already newer drops its entry.
+    uint64_t seen = slot.seq.load(std::memory_order_acquire);
+    if ((seen & 1) != 0 || seen > 2 * idx ||
+        !slot.seq.compare_exchange_strong(seen, 2 * idx + 1,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_relaxed)) {
+        g_ring.contended.fetch_add(1, std::memory_order_relaxed);
+        overwrittenCounter().inc();
+        return;
+    }
     slot.len = static_cast<uint32_t>(len);
     std::memcpy(slot.text, text, len);
     slot.seq.store(2 * idx + 2, std::memory_order_release);
@@ -445,7 +458,7 @@ dump(int fd)
     writeStrFd(fd, "{\"flight\":{\"recorded\":");
     writeU64Fd(fd, head);
     writeStrFd(fd, ",\"dropped\":");
-    writeU64Fd(fd, first);
+    writeU64Fd(fd, droppedCount());
     writeStrFd(fd, ",\"truncated\":");
     writeU64Fd(fd, g_ring.truncated.load(std::memory_order_relaxed));
     writeStrFd(fd, ",\"capacity\":");
@@ -503,7 +516,7 @@ renderJson()
         (g_ring.slots && head > g_ring.capacity) ? head - g_ring.capacity
                                                  : 0;
     out += std::to_string(head);
-    out += ",\"dropped\":" + std::to_string(first);
+    out += ",\"dropped\":" + std::to_string(droppedCount());
     out += ",\"truncated\":" +
            std::to_string(
                g_ring.slots
@@ -538,7 +551,8 @@ droppedCount()
     if (g_ring.slots == nullptr)
         return 0;
     uint64_t head = g_ring.head.load(std::memory_order_relaxed);
-    return head > g_ring.capacity ? head - g_ring.capacity : 0;
+    return (head > g_ring.capacity ? head - g_ring.capacity : 0) +
+           g_ring.contended.load(std::memory_order_relaxed);
 }
 
 uint64_t
@@ -564,6 +578,7 @@ resetForTest()
         return;
     g_ring.head.store(0, std::memory_order_relaxed);
     g_ring.truncated.store(0, std::memory_order_relaxed);
+    g_ring.contended.store(0, std::memory_order_relaxed);
     for (size_t i = 0; i < g_ring.capacity; ++i)
         g_ring.slots[i].seq.store(0, std::memory_order_relaxed);
 }

@@ -16,8 +16,10 @@
  *     counters rendered with a local integer formatter).  No malloc,
  *     no stdio, no locks in the signal path.
  *
- *  2. Lock-free recording.  A writer claims a slot with one fetch_add
- *     and publishes it with a seqlock (odd = being written); readers
+ *  2. Lock-free recording.  A writer takes an index with one
+ *     fetch_add, claims its slot with a CAS on the slot's seqlock (odd
+ *     = being written) and publishes; a writer whose slot is mid-write
+ *     or already holds a newer entry drops its own (counted); readers
  *     (dump, the daemon's /debug/flight) skip unstable slots instead
  *     of blocking.  Ring overflow OVERWRITES the oldest entry -- that
  *     is the point of a flight recorder -- and the overwritten count
@@ -141,7 +143,8 @@ size_t dumpToConfigured();
 /** The same JSON as dump(), built as a string (daemon /debug/flight). */
 std::string renderJson();
 
-/** Entries overwritten by ring wrap since configure() (not an error). */
+/** Entries overwritten by ring wrap or lost to a concurrent writer of
+ *  the same slot since configure() (not an error). */
 uint64_t droppedCount();
 
 /** Entries whose formatted text exceeded the slot and was truncated. */

@@ -303,9 +303,19 @@ SparseState::sample(Rng &rng, uint64_t shots) const
     for (size_t i = 0; i < amps_.size(); ++i)
         weights[i] = std::norm(amps_[i]);
     AliasTable table(weights); // O(1)/shot instead of a linear scan
+    // Tally by support index, then insert each drawn key once in order
+    // of first draw: the map gets the same keys in the same insertion
+    // order as one add() per shot, hence the same iteration order.
+    std::vector<uint64_t> tally(keys_.size(), 0);
+    std::vector<uint32_t> first_drawn;
+    for (uint64_t s = 0; s < shots; ++s) {
+        const size_t i = table.sample(rng);
+        if (tally[i]++ == 0)
+            first_drawn.push_back(static_cast<uint32_t>(i));
+    }
     Counts counts;
-    for (uint64_t s = 0; s < shots; ++s)
-        counts.add(keys_[table.sample(rng)]);
+    for (uint32_t i : first_drawn)
+        counts.add(keys_[i], tally[i]);
     return counts;
 }
 

@@ -148,7 +148,11 @@ class SparseState
             amps_[i] *= std::exp(Complex{0.0, 1.0} * phase(keys_[i]));
     }
 
-    /** Sample @p shots outcomes from the Born distribution. */
+    /**
+     * Sample @p shots outcomes from the Born distribution.  The counts
+     * and the map's iteration order equal those of one Counts::add per
+     * drawn key; each key is inserted once, with its tally.
+     */
     Counts sample(Rng &rng, uint64_t shots) const;
 
     /** Basis state with the largest probability. */

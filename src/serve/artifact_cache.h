@@ -4,8 +4,8 @@
  *
  * The serve layer memoizes the expensive, reusable artifacts of a solve
  * across jobs: integer nullspace/HNF kernel bases and transition
- * pipelines (core::PipelineArtifacts) and transpiled segment circuits
- * (circuit::Circuit).  Entries are keyed by CacheKey -- a hash of the
+ * pipelines (core::PipelineArtifacts) and the noisy backends'
+ * transpiled segment circuits (circuit::Circuit).  Entries are keyed by CacheKey -- a hash of the
  * canonical problem/config serialization -- so equal inputs hit
  * regardless of how the request was constructed or scheduled.
  *

@@ -59,6 +59,7 @@ estimatePipelineBytes(const core::PipelineArtifacts &artifacts)
               artifacts.chain.unprunedCoverage.size()) *
              8;
     bytes += artifacts.segments.size() * 16;
+    bytes += artifacts.segmentCosts.size() * sizeof(core::SegmentCost);
     return bytes;
 }
 
@@ -330,15 +331,23 @@ JobRunner::solveRasengan(const PreparedJob &job,
         opts.execution = Execution::SampledSparse;
 
     // Pipeline artifacts: keyed by the canonical problem plus exactly
-    // the options buildPipelineArtifacts depends on, so jobs differing
-    // only in shots/seed/execution share one pipeline.
+    // the options buildPipelineArtifacts depends on -- the ones that
+    // shape the chain and its segments, and the transpile mode, nominal
+    // time and latency-device durations behind the segment costs -- so
+    // jobs differing only in shots/seed/execution share one pipeline.
     {
+        const device::DeviceModel &dev = opts.latencyDevice;
         std::ostringstream cfg;
         cfg << "simplify=" << (opts.simplify ? 1 : 0)
             << ";prune=" << (opts.prune ? 1 : 0)
             << ";tps=" << opts.transitionsPerSegment
             << ";rounds=" << opts.rounds
-            << ";maxTracked=" << opts.maxTrackedStates << "\n"
+            << ";maxTracked=" << opts.maxTrackedStates
+            << ";transpile=" << static_cast<int>(opts.transpileMode)
+            << ";t0=" << fmtDouble(opts.initialTime)
+            << ";latency=" << dev.name << "/" << fmtDouble(dev.gate1qNs)
+            << "/" << fmtDouble(dev.gate2qNs) << "/"
+            << fmtDouble(dev.readoutNs) << "\n"
             << job.canonicalProblem;
         CacheKey key = makeKey("pipeline", cfg.str());
         const problems::Problem &problem = *job.problem;
@@ -360,8 +369,10 @@ JobRunner::solveRasengan(const PreparedJob &job,
                 &counters, "pipeline");
     }
 
-    // Transpiled segment circuits: content-addressed by the input
-    // circuit's fingerprint + lowering options, shared across jobs.
+    // Transpiled segment circuits of the noisy backends (the others
+    // read the pipeline's segment costs): content-addressed by the
+    // input circuit's fingerprint + lowering options, shared across
+    // jobs.
     {
         std::shared_ptr<ArtifactCache> cache = cache_;
         ArtifactCache::LookupCounters *ctr = &counters;

@@ -36,7 +36,6 @@
 #include "cluster/worker.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "obs/flight.h"
 #include "obs/trace.h"
 #include "exec/faults.h"
 #include "serve/admission.h"
@@ -642,9 +641,6 @@ TEST(Cluster, OneJobCoreGivesTheSameLinesOnEveryPath)
     std::vector<std::string> daemonLines =
         daemonResponses(dir + "/d.sock", requests);
     daemon.stop();
-    // The daemon switches the process-wide flight recorder on; switch
-    // it off again so the tests after this one run as before.
-    obs::flight::disable();
     EXPECT_EQ(daemonLines, batchLines);
 }
 

@@ -21,6 +21,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -936,6 +937,46 @@ TEST(Flight, RingOverflowCountsDropsAndDumpStaysParseable)
     }
     EXPECT_EQ(depth, 0);
     EXPECT_FALSE(inString);
+}
+
+TEST(Flight, ConcurrentWritersNeverTearAnEntry)
+{
+    // Two writers whose ring indices collide on one slot: each claims
+    // it with a CAS or drops its entry (counted), so every surviving
+    // entry is one writer's whole text.  TSan (CI sanitize-thread)
+    // checks the slot writes for races.
+    obs::flight::configure(16); // idempotent: first capacity wins
+    obs::flight::resetForTest();
+    constexpr int kPerThread = 20000;
+    std::vector<std::thread> writers;
+    for (char fill : {'a', 'b'}) {
+        writers.emplace_back([fill] {
+            for (int i = 0; i < kPerThread; ++i)
+                obs::flight::recordInstant(
+                    "test", "race", std::string(1 + i % 300, fill));
+        });
+    }
+    for (std::thread &t : writers)
+        t.join();
+    EXPECT_EQ(obs::flight::recordedCount(), 2u * kPerThread);
+
+    const std::string json = obs::flight::renderJson();
+    const std::string marker = "\"detail\":\"";
+    size_t events = 0;
+    for (size_t at = json.find(marker); at != std::string::npos;
+         at = json.find(marker, at + 1)) {
+        const size_t begin = at + marker.size();
+        const size_t end = json.find('"', begin);
+        ASSERT_NE(end, std::string::npos);
+        const std::string detail = json.substr(begin, end - begin);
+        ASSERT_FALSE(detail.empty());
+        EXPECT_EQ(detail, std::string(detail.size(), detail[0]))
+            << "torn entry";
+        ++events;
+    }
+    EXPECT_GT(events, 0u);
+    // Every entry is either in the ring or counted as dropped.
+    EXPECT_GE(events + obs::flight::droppedCount(), 2u * kPerThread);
 }
 
 TEST(Flight, CapturesClosedSpansEvenWithTracingOff)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -21,12 +22,15 @@
 #include "core/basis.h"
 #include "core/chain.h"
 #include "core/rasengan.h"
+#include "device/latency.h"
 #include "device/routing.h"
 #include "linalg/solve.h"
 #include "problems/builder.h"
 #include "problems/metrics.h"
 #include "problems/io.h"
 #include "problems/suite.h"
+#include "qsim/counts.h"
+#include "qsim/sparsestate.h"
 #include "qsim/statevector.h"
 
 namespace rasengan {
@@ -397,6 +401,126 @@ TEST_P(PropertySweep, RotationPlansAreTransparent)
     EXPECT_GT(seen.recorded, 0u) << "seed " << GetParam();
     EXPECT_GT(seen.replayed, 0u) << "seed " << GetParam();
     EXPECT_GT(seen.aborted, 0u) << "seed " << GetParam();
+}
+
+TEST_P(PropertySweep, SegmentCostsMatchFreshLowering)
+{
+    // Each stored SegmentCost equals a fresh lowering of its segment at
+    // nominal times: segmentCircuit -> transpile -> optimizeCircuit,
+    // plus circuitTimeUs of the transpiled circuit; and the latency
+    // estimate of a training run is executionTimeSeconds over those
+    // circuits.  Instances: two random builder systems under random cost
+    // options, and the suite benchmarks whose index is this seed mod 12.
+    const device::DeviceModel devices[] = {device::DeviceModel::ibmQuebec(),
+                                           device::DeviceModel::ibmKyiv(),
+                                           device::DeviceModel::ibmBrisbane()};
+    const std::vector<std::string> ids = problems::benchmarkIds();
+    std::vector<std::pair<problems::Problem, core::RasenganOptions>> cases;
+    for (int k = 0; k < 2; ++k) {
+        core::RasenganOptions options;
+        options.transitionsPerSegment = 1 + static_cast<int>(rng.index(3));
+        options.transpileMode = rng.bernoulli(0.5)
+                                    ? circuit::TranspileMode::GrayCode
+                                    : circuit::TranspileMode::AncillaLadder;
+        // At time 0 the rotations vanish and the optimizer drops them.
+        options.initialTime = k == 0 ? 0.0 : rng.uniformReal(-1.5, 1.5);
+        options.latencyDevice = devices[rng.index(3)];
+        options.shotGrowth = rng.uniformReal(1.0, 2.0);
+        options.maxIterations = 6;
+        cases.emplace_back(randomSlackProblem(rng, "builder-costs"), options);
+    }
+    core::RasenganOptions suite_options;
+    suite_options.maxIterations = 6;
+    for (size_t i = GetParam(); i < ids.size(); i += 12)
+        cases.emplace_back(problems::makeBenchmark(ids[i]), suite_options);
+
+    for (const auto &[p, options] : cases) {
+        const std::string where =
+            "seed " + std::to_string(GetParam()) + " " + p.id();
+        core::RasenganSolver solver(p, options);
+        const auto &costs = solver.segmentCosts();
+        ASSERT_EQ(costs.size(), solver.segments().size()) << where;
+        device::LatencyModel latency(options.latencyDevice);
+        const std::vector<double> nominal(solver.numParams(),
+                                          options.initialTime);
+        double per_execution_s = 0.0;
+        std::pair<int, int> max_cost{0, 0};
+        for (size_t s = 0; s < costs.size(); ++s) {
+            circuit::Circuit lowered = circuit::transpile(
+                solver.segmentCircuit(static_cast<int>(s),
+                                      p.trivialFeasible(), nominal),
+                {.mode = options.transpileMode, .lowerToCx = true});
+            circuit::Circuit optimized = circuit::optimizeCircuit(lowered);
+            EXPECT_EQ(costs[s].depth, optimized.depth()) << where;
+            EXPECT_EQ(costs[s].cx, optimized.countCx()) << where;
+            const double us = latency.circuitTimeUs(lowered);
+            EXPECT_EQ(std::memcmp(&costs[s].circuitUs, &us, sizeof(us)), 0)
+                << where << " segment " << s;
+            max_cost.first = std::max(max_cost.first, optimized.depth());
+            max_cost.second = std::max(max_cost.second, optimized.countCx());
+            const auto shots = static_cast<uint64_t>(
+                static_cast<double>(options.shotsPerSegment) *
+                std::pow(options.shotGrowth, static_cast<double>(s)));
+            per_execution_s += latency.executionTimeSeconds(lowered, shots);
+        }
+        EXPECT_EQ(solver.maxSegmentCost(), max_cost) << where;
+        if (solver.numParams() > 0) {
+            core::RasenganResult res = solver.run();
+            const double want = per_execution_s * res.training.evaluations;
+            EXPECT_EQ(std::memcmp(&res.quantumSeconds, &want, sizeof(want)),
+                      0)
+                << where << " " << res.quantumSeconds << " vs " << want;
+        }
+    }
+}
+
+TEST_P(PropertySweep, SparseSampleMatchesPerShotReference)
+{
+    // SparseState::sample tallies by support index; for equal seeds it
+    // returns the same counts, the same map() iteration sequence and
+    // the same RNG position as one Counts::add per drawn key.
+    const int n = 12;
+    const size_t support = 1 + rng.index(GetParam() % 2 == 0 ? 8 : 200);
+    std::vector<BitVec> keys;
+    while (keys.size() < support) {
+        BitVec key;
+        for (int q = 0; q < n; ++q)
+            if (rng.bernoulli(0.5))
+                key.set(q);
+        if (std::find(keys.begin(), keys.end(), key) == keys.end())
+            keys.push_back(key);
+    }
+    std::sort(keys.begin(), keys.end());
+    std::vector<std::complex<double>> amps;
+    for (size_t i = 0; i < support; ++i)
+        amps.emplace_back(rng.uniformReal(-1.0, 1.0),
+                          rng.uniformReal(-1.0, 1.0));
+    const qsim::SparseState state =
+        qsim::SparseState::fromSorted(n, keys, amps);
+
+    for (uint64_t shots : {uint64_t{1}, uint64_t{17}, uint64_t{512}}) {
+        const std::string where = "seed " + std::to_string(GetParam()) +
+                                  " support " + std::to_string(support) +
+                                  " shots " + std::to_string(shots);
+        Rng fast_rng(GetParam() + shots), ref_rng(GetParam() + shots);
+        qsim::Counts fast = state.sample(fast_rng, shots);
+
+        std::vector<double> weights;
+        for (const std::complex<double> &a : amps)
+            weights.push_back(std::norm(a));
+        qsim::AliasTable table(weights);
+        qsim::Counts ref;
+        for (uint64_t s = 0; s < shots; ++s)
+            ref.add(keys[table.sample(ref_rng)]);
+
+        EXPECT_EQ(fast.total(), ref.total()) << where;
+        std::vector<std::pair<BitVec, uint64_t>> fast_seq(
+            fast.map().begin(), fast.map().end());
+        std::vector<std::pair<BitVec, uint64_t>> ref_seq(
+            ref.map().begin(), ref.map().end());
+        EXPECT_EQ(fast_seq, ref_seq) << where;
+        EXPECT_EQ(fast_rng.engine(), ref_rng.engine()) << where;
+    }
 }
 
 /** ||C x - b||_1 by the dense rows x n loop over the matrix. */
