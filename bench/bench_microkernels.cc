@@ -8,7 +8,8 @@
  *
  *   - the dense kernels (gate application, diagonal evolution, the norm
  *     reduction) under the scalar ISA and the best vector ISA;
- *   - alias-table sampling and noisy trajectories;
+ *   - alias-table sampling (dense, and the sparse segment sampler at
+ *     the suite's support sizes) and noisy trajectories;
  *   - fusion on vs. off for full-circuit application (a transpiled
  *     Rasengan segment circuit and a synthetic deep circuit), with the
  *     fused/source gate counts recorded alongside the times.
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -34,6 +36,7 @@
 #include "qsim/counts.h"
 #include "qsim/noise.h"
 #include "qsim/simd.h"
+#include "qsim/sparsestate.h"
 #include "qsim/statevector.h"
 
 namespace {
@@ -190,6 +193,37 @@ benchSampling(int n, uint64_t shots, int repeats)
     table.cell("sample");
     table.cell(rec.medianMs);
     table.endRow();
+
+    // The Rasengan segment sampler's shape: supports of <= 8 states at
+    // 512 shots, timed over many calls (one call is ~1 us).
+    for (size_t support : {1, 4, 8}) {
+        std::vector<BitVec> keys;
+        std::vector<std::complex<double>> amps;
+        for (size_t i = 0; i < support; ++i) {
+            keys.push_back(BitVec::fromIndex(3 * i + 1));
+            amps.emplace_back(0.1 * static_cast<double>(i + 1), 0.2);
+        }
+        const qsim::SparseState state =
+            qsim::SparseState::fromSorted(n, keys, amps);
+        const uint64_t sparse_shots = 512;
+        const int calls = 2000;
+        Record &sparse = timeKernel(
+            "sample_sparse", "support=" + std::to_string(support), repeats,
+            [] {}, [&] {
+                Rng rng(7);
+                uint64_t total = 0;
+                for (int c = 0; c < calls; ++c)
+                    total += state.sample(rng, sparse_shots).total();
+                volatile uint64_t sink = total;
+                (void)sink;
+            });
+        sparse.extra.emplace_back("support", static_cast<double>(support));
+        sparse.extra.emplace_back("shots", static_cast<double>(sparse_shots));
+        sparse.extra.emplace_back("calls", calls);
+        table.cell("sparse/" + std::to_string(support));
+        table.cell(sparse.medianMs);
+        table.endRow();
+    }
 }
 
 void

@@ -10,6 +10,7 @@
 #include "common/timer.h"
 #include "core/basis.h"
 #include "device/mitigation.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/cobyla.h"
@@ -51,6 +52,15 @@ planCounters()
 {
     static PlanCounters counters;
     return counters;
+}
+
+/** "seg=<s>" span detail, built only when a span will record it. */
+std::string
+segmentDetail(int s)
+{
+    if (!obs::tracingEnabled() && !obs::flight::enabled())
+        return std::string();
+    return "seg=" + std::to_string(s);
 }
 
 /**
@@ -166,8 +176,7 @@ RasenganSolver::evolveSegment(int seg_index, const BitVec &init,
 {
     // One span per evolution regardless of the record/replay branch
     // taken below, so the span tree is independent of cache state.
-    obs::Span span("segment-evolve", "evolve",
-                   "seg=" + std::to_string(seg_index));
+    obs::Span span("segment-evolve", "evolve", segmentDetail(seg_index));
     const Segment &seg = segments()[seg_index];
     const int n = problem_.numVars();
     const double threshold = options_.sparsePruneThreshold;
@@ -412,8 +421,7 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
             // Purification (Section 4.3): validate C x = b, drop the rest.
             // The exact path never samples; this span is its analogue of
             // the sampled path's measurement stage.
-            obs::Span sample_span("sample", "purify",
-                                  "seg=" + std::to_string(s));
+            obs::Span sample_span("sample", "purify", segmentDetail(s));
             // One verdict per state: the feasible entries are kept in
             // map order, so purification inserts them in the same order.
             double feasible_mass = 0.0, total_mass = 0.0;

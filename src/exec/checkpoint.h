@@ -9,7 +9,9 @@
  * caller's RNG engine state.  Restoring the snapshot and re-running the
  * remaining segments is bit-identical to never having been killed --
  * shot counts round-trip as integers, probabilities at max_digits10,
- * and the mt19937_64 stream through its standard text serialization.
+ * and the engine as text in libstdc++'s mt19937_64 layout (312 state
+ * words, then the position), which Mt19937_64 (common/rng.h) reads and
+ * writes, so checkpoints from either engine load into the other.
  *
  * The format is line-oriented text (one `entry` line per basis state),
  * versioned, and parsed with recoverable errors: a truncated or
@@ -38,7 +40,7 @@ struct SegmentCheckpoint
     int numBits = 0;       ///< register width of the entries
     std::vector<double> times; ///< trained evolution times
     double prePurifyFeasibleFraction = 1.0;
-    std::string rngState; ///< mt19937_64 text state; empty for exact
+    std::string rngState; ///< engine text state; empty for exact
 
     /** Forwarded distribution (exactly one populated, by shotBased). */
     std::vector<std::pair<BitVec, uint64_t>> shotEntries;

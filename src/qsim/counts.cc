@@ -80,6 +80,35 @@ AliasTable::AliasTable(const std::vector<double> &weights)
     }
 }
 
+void
+AliasTable::sample(Rng &rng, std::span<uint32_t> out) const
+{
+    // sample(rng) per word: u = canonical(word) * n (adding lo = 0 is
+    // exact for u >= 0), slot = floor(u) with the u == n guard, then
+    // accept the slot or take its alias.  The int64 conversion and the
+    // masked select keep the pass branch-free.
+    const int64_t last = static_cast<int64_t>(prob_.size()) - 1;
+    const double n = static_cast<double>(prob_.size());
+    const double *prob = prob_.data();
+    const uint32_t *alias = alias_.data();
+    std::array<uint64_t, kBlock> words;
+    for (size_t done = 0; done < out.size();) {
+        const size_t k = std::min(out.size() - done, kBlock);
+        rng.engine().generate(words.data(), k);
+        uint32_t *dst = out.data() + done;
+        for (size_t j = 0; j < k; ++j) {
+            const double u = Rng::canonical(words[j]) * n;
+            const int64_t slot = std::min(static_cast<int64_t>(u), last);
+            const uint32_t keep =
+                0u - static_cast<uint32_t>(u - static_cast<double>(slot) <
+                                           prob[slot]);
+            dst[j] = (static_cast<uint32_t>(slot) & keep) |
+                     (alias[slot] & ~keep);
+        }
+        done += k;
+    }
+}
+
 BitVec
 Counts::mostFrequent() const
 {

@@ -7,8 +7,12 @@
 #ifndef RASENGAN_QSIM_COUNTS_H
 #define RASENGAN_QSIM_COUNTS_H
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <random>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -117,12 +121,15 @@ class Counts
  * and O(n) linear scan (sparse/density).
  *
  * Construction and sampling are deterministic: the table layout depends
- * only on the weights, and each sample consumes exactly one
- * uniformReal draw from the caller's Rng.
+ * only on the weights, and each sample consumes exactly one engine word
+ * from the caller's Rng.
  */
 class AliasTable
 {
   public:
+    /** Draws per engine block in the block sampler. */
+    static constexpr size_t kBlock = 256;
+
     /** @p weights must be non-negative with a positive sum (aborts
      *  otherwise). */
     explicit AliasTable(const std::vector<double> &weights);
@@ -130,16 +137,46 @@ class AliasTable
     size_t size() const { return prob_.size(); }
     double totalWeight() const { return total_; }
 
-    /** Draw one index with probability weights[i] / totalWeight(). */
+    /**
+     * Draw one index with probability weights[i] / totalWeight() through
+     * std::uniform_real_distribution: the slow reference the block
+     * sampler is tested against.
+     */
     size_t
     sample(Rng &rng) const
     {
-        double u = rng.uniformReal(0.0, static_cast<double>(prob_.size()));
+        const double n = static_cast<double>(prob_.size());
+        double u = std::uniform_real_distribution<double>(0.0, n)(
+            rng.engine());
         size_t slot = static_cast<size_t>(u);
         if (slot >= prob_.size()) // guard the u == n edge
             slot = prob_.size() - 1;
         double frac = u - static_cast<double>(slot);
         return frac < prob_[slot] ? slot : alias_[slot];
+    }
+
+    /**
+     * Fill @p out with out.size() draws: the same indices, in the same
+     * order, and the same engine advance as that many calls of
+     * sample(rng).  Engine words come a block at a time; the map from
+     * word to index has no data-dependent branch.
+     */
+    void sample(Rng &rng, std::span<uint32_t> out) const;
+
+    /** Call @p visit(index) for each of @p shots draws, in draw order. */
+    template <typename Visit>
+    void
+    forEachDraw(Rng &rng, uint64_t shots, Visit &&visit) const
+    {
+        std::array<uint32_t, kBlock> drawn;
+        for (uint64_t done = 0; done < shots;) {
+            const size_t k = static_cast<size_t>(
+                std::min<uint64_t>(shots - done, kBlock));
+            sample(rng, std::span<uint32_t>(drawn.data(), k));
+            for (size_t j = 0; j < k; ++j)
+                visit(drawn[j]);
+            done += k;
+        }
     }
 
   private:

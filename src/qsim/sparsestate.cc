@@ -299,6 +299,16 @@ SparseState::sample(Rng &rng, uint64_t shots) const
              "sampling from a sparse state with total probability {} "
              "(noise/degradation collapsed the distribution)",
              total);
+    Counts counts;
+    if (keys_.size() == 1) {
+        // Every draw is index 0, one engine word per shot.  The total
+        // check above already rejects what the table's weight checks
+        // would: a non-finite or zero weight.
+        rng.engine().discard(shots);
+        if (shots > 0)
+            counts.add(keys_[0], shots);
+        return counts;
+    }
     std::vector<double> weights(amps_.size());
     for (size_t i = 0; i < amps_.size(); ++i)
         weights[i] = std::norm(amps_[i]);
@@ -308,12 +318,10 @@ SparseState::sample(Rng &rng, uint64_t shots) const
     // order as one add() per shot, hence the same iteration order.
     std::vector<uint64_t> tally(keys_.size(), 0);
     std::vector<uint32_t> first_drawn;
-    for (uint64_t s = 0; s < shots; ++s) {
-        const size_t i = table.sample(rng);
+    table.forEachDraw(rng, shots, [&](uint32_t i) {
         if (tally[i]++ == 0)
-            first_drawn.push_back(static_cast<uint32_t>(i));
-    }
-    Counts counts;
+            first_drawn.push_back(i);
+    });
     for (uint32_t i : first_drawn)
         counts.add(keys_[i], tally[i]);
     return counts;

@@ -151,7 +151,8 @@ class SparseState
     /**
      * Sample @p shots outcomes from the Born distribution.  The counts
      * and the map's iteration order equal those of one Counts::add per
-     * drawn key; each key is inserted once, with its tally.
+     * drawn key; each key is inserted once, with its tally.  The engine
+     * advances one word per shot, as AliasTable::sample(Rng &) does.
      */
     Counts sample(Rng &rng, uint64_t shots) const;
 

@@ -310,10 +310,9 @@ Statevector::sample(Rng &rng, uint64_t shots, int num_bits) const
                               ? ~uint64_t{0}
                               : ((uint64_t{1} << num_bits) - 1);
     Counts counts;
-    for (uint64_t s = 0; s < shots; ++s) {
-        uint64_t idx = table.sample(rng);
+    table.forEachDraw(rng, shots, [&](uint32_t idx) {
         counts.add(BitVec::fromIndex(idx & mask));
-    }
+    });
     return counts;
 }
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "common/bitvec.h"
@@ -107,6 +110,154 @@ TEST(BitVec, HashSpreads)
     // A few collisions would be tolerable; identical hashes are a bug.
     EXPECT_GT(hashes.size(), 250u);
 }
+
+TEST(Mt19937_64, TenThousandthOutputIsTheStandardCheckValue)
+{
+    Mt19937_64 engine;
+    engine.discard(9999);
+    EXPECT_EQ(engine(), 9981545732273789042ull);
+}
+
+TEST(Mt19937_64, WordsEqualStdMt19937_64)
+{
+    // Every way of drawing -- single words, bulk runs of uneven length
+    // across refills, and skips -- walks the standard engine's stream.
+    const uint64_t seeds[] = {0, 1, 5489, 42, 0x5A17F00D,
+                              0xFFFFFFFFFFFFFFFFull, 1ull << 63, 123456789};
+    std::vector<uint64_t> bulk(1000);
+    for (uint64_t seed : seeds) {
+        Mt19937_64 engine(seed);
+        std::mt19937_64 ref(seed);
+        size_t drawn = 0, step = 0;
+        while (drawn < 1000000) {
+            const size_t run = 1 + (step * 97) % bulk.size();
+            if (step % 3 == 0) {
+                for (size_t i = 0; i < run; ++i)
+                    ASSERT_EQ(engine(), ref()) << "seed " << seed;
+            } else if (step % 3 == 1) {
+                engine.generate(bulk.data(), run);
+                for (size_t i = 0; i < run; ++i)
+                    ASSERT_EQ(bulk[i], ref()) << "seed " << seed;
+            } else {
+                engine.discard(run);
+                ref.discard(run);
+            }
+            drawn += run;
+            ++step;
+        }
+        std::ostringstream mine, theirs;
+        mine << engine;
+        theirs << ref;
+        EXPECT_EQ(mine.str(), theirs.str()) << "seed " << seed;
+    }
+}
+
+TEST(Mt19937_64, StateTextRoundTripsWithStdMt19937_64)
+{
+    // Mid-block positions: std text loads into the in-tree engine and
+    // continues the same stream, and the reverse; equal states compare
+    // equal.
+    for (size_t skip : {0, 1, 311, 312, 313, 1000}) {
+        std::mt19937_64 ref(77);
+        ref.discard(skip);
+        std::stringstream text;
+        text << ref;
+        Mt19937_64 engine;
+        text >> engine;
+        ASSERT_FALSE(text.fail()) << skip;
+        for (int i = 0; i < 700; ++i)
+            ASSERT_EQ(engine(), ref()) << skip;
+
+        Mt19937_64 mine(78);
+        mine.discard(skip);
+        Mt19937_64 copy = mine;
+        EXPECT_EQ(copy, mine);
+        std::stringstream back;
+        back << mine;
+        std::mt19937_64 std_engine;
+        back >> std_engine;
+        ASSERT_FALSE(back.fail()) << skip;
+        for (int i = 0; i < 700; ++i)
+            ASSERT_EQ(std_engine(), mine()) << skip;
+        EXPECT_FALSE(copy == mine);
+    }
+}
+
+/** A generator that returns one fixed word: feeds std::generate_canonical. */
+struct FixedWord
+{
+    using result_type = uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type word;
+    result_type operator()() { return word; }
+};
+
+TEST(Rng, CanonicalEqualsGenerateCanonical)
+{
+    // Round-to-nearest conversion (ties at 2^53 + 1 and 2^64 - 1024),
+    // the exact 2^-64 scale, and the clamp below 1.
+    const std::pair<uint64_t, double> edges[] = {
+        {0, 0.0},
+        {1, 0x1p-64},
+        {(1ull << 53) - 1, 0x1.fffffffffffffp-12},
+        {1ull << 53, 0x1p-11},
+        {(1ull << 53) + 1, 0x1p-11},
+        {1ull << 63, 0.5},
+        {(1ull << 63) - 1, 0.5},
+        {~0ull - 1023, 0x1.fffffffffffffp-1},
+        {~0ull - 1024, 0x1.fffffffffffffp-1},
+        {~0ull, 0x1.fffffffffffffp-1},
+    };
+    for (const auto &[word, want] : edges) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(Rng::canonical(word)),
+                  std::bit_cast<uint64_t>(want))
+            << word;
+#ifdef __GLIBCXX__
+        FixedWord g{word};
+        EXPECT_EQ(std::bit_cast<uint64_t>(Rng::canonical(word)),
+                  std::bit_cast<uint64_t>(
+                      std::generate_canonical<double, 53>(g)))
+            << word;
+#endif
+    }
+#ifdef __GLIBCXX__
+    std::mt19937_64 words(2024);
+    for (int i = 0; i < 1000000; ++i) {
+        FixedWord g{words()};
+        ASSERT_EQ(std::bit_cast<uint64_t>(Rng::canonical(g.word)),
+                  std::bit_cast<uint64_t>(
+                      std::generate_canonical<double, 53>(g)))
+            << g.word;
+    }
+#endif
+}
+
+#ifdef __GLIBCXX__
+TEST(Rng, RealDrawsEqualStdDistributions)
+{
+    // uniformReal and bernoulli are computed in-tree; on the same
+    // engine words they return libstdc++'s doubles and verdicts.
+    for (double p : {1e-9, 0.1, 0.25, 0.5, 0.7, 0.999999}) {
+        Rng rng(11);
+        std::mt19937_64 ref(11);
+        std::bernoulli_distribution coin(p);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(rng.bernoulli(p), coin(ref)) << p << " draw " << i;
+    }
+    const std::pair<double, double> ranges[] = {
+        {0.0, 1.0}, {-1.0, 1.0}, {0.0, 257.0}, {3.5, 3.75}};
+    for (const auto &[lo, hi] : ranges) {
+        Rng rng(12);
+        std::mt19937_64 ref(12);
+        std::uniform_real_distribution<double> uniform(lo, hi);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(std::bit_cast<uint64_t>(rng.uniformReal(lo, hi)),
+                      std::bit_cast<uint64_t>(uniform(ref)))
+                << lo << " " << hi << " draw " << i;
+    }
+}
+#endif
 
 TEST(Rng, DeterministicFromSeed)
 {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <complex>
@@ -22,6 +23,7 @@
 #include "circuit/fusion.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "qsim/density.h"
 #include "qsim/statevector.h"
 
 namespace rasengan {
@@ -360,6 +362,73 @@ TEST(AliasTable, SingleOutcome)
     Rng rng(1);
     for (int s = 0; s < 100; ++s)
         EXPECT_EQ(table.sample(rng), 0u);
+}
+
+TEST(AliasTable, BlockSampleMatchesPerShotReference)
+{
+    // The block sampler returns the per-shot reference's indices and
+    // leaves the engine where the reference does, for lengths on both
+    // sides of a block.
+    const std::vector<std::vector<double>> tables = {
+        {3.25},
+        {1.0, 1.0},
+        {0.2, 1.7, 0.0, 2.6, 1.1},
+        {1.0, 0.0, 3.0, 2.0, 0.5, 0.0, 4.5}};
+    for (const std::vector<double> &weights : tables) {
+        qsim::AliasTable table(weights);
+        for (size_t len : {0, 1, 255, 256, 257, 1000}) {
+            Rng fast(31), ref(31);
+            std::vector<uint32_t> out(len);
+            table.sample(fast, out);
+            for (size_t i = 0; i < len; ++i)
+                ASSERT_EQ(out[i], table.sample(ref))
+                    << weights.size() << " weights, len " << len;
+            EXPECT_EQ(fast.engine(), ref.engine()) << len;
+        }
+    }
+}
+
+TEST(AliasTable, DenseSamplersAddEachShotInDrawOrder)
+{
+    // Statevector::sample and DensityMatrix::sample make one Counts::add
+    // per shot, in draw order, with the register mask applied: the same
+    // map sequence as the per-shot reference.
+    const int n = 5, bits = 3;
+    qsim::Statevector sv(n);
+    qsim::DensityMatrix rho(n, BitVec{});
+    for (int q = 0; q < n; ++q) {
+        const circuit::Gate ry{circuit::GateKind::RY, {}, {q}, 0.3 + 0.4 * q};
+        sv.apply1q(q, qsim::gateMatrix(ry.kind, ry.param));
+        rho.applyGate(ry);
+    }
+    std::vector<double> weights;
+    for (const std::complex<double> &a : sv.amplitudes())
+        weights.push_back(std::norm(a));
+    const qsim::AliasTable sv_table(weights);
+    std::vector<double> diag = rho.diagonal();
+    for (double &d : diag)
+        d = std::max(d, 0.0); // as DensityMatrix::sample clamps
+    const qsim::AliasTable rho_table(diag);
+    const auto perShot = [&](const qsim::AliasTable &table, Rng &rng,
+                             uint64_t shots) {
+        qsim::Counts counts;
+        for (uint64_t s = 0; s < shots; ++s)
+            counts.add(BitVec::fromIndex(table.sample(rng) & 7));
+        return counts;
+    };
+    const auto sequence = [](const qsim::Counts &c) {
+        return std::vector<std::pair<BitVec, uint64_t>>(c.map().begin(),
+                                                        c.map().end());
+    };
+    for (uint64_t shots : {1, 257, 700}) {
+        Rng fast(shots), ref(shots);
+        EXPECT_EQ(sequence(sv.sample(fast, shots, bits)),
+                  sequence(perShot(sv_table, ref, shots)));
+        EXPECT_EQ(fast.engine(), ref.engine());
+        EXPECT_EQ(sequence(rho.sample(fast, shots, bits)),
+                  sequence(perShot(rho_table, ref, shots)));
+        EXPECT_EQ(fast.engine(), ref.engine());
+    }
 }
 
 // The pool's workers are alive in this binary (RASENGAN_THREADS), and a

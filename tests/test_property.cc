@@ -14,6 +14,7 @@
 #include <complex>
 #include <cstring>
 #include <numbers>
+#include <sstream>
 
 #include "baselines/qubo.h"
 #include "circuit/qasm.h"
@@ -474,13 +475,68 @@ TEST_P(PropertySweep, SegmentCostsMatchFreshLowering)
     }
 }
 
+/** Inverse of MT19937-64's output tempering. */
+uint64_t
+untemper(uint64_t y)
+{
+    const auto undoRight = [](uint64_t v, int shift, uint64_t mask) {
+        uint64_t x = v;
+        for (int i = 0; i <= 64 / shift; ++i)
+            x = v ^ ((x >> shift) & mask);
+        return x;
+    };
+    const auto undoLeft = [](uint64_t v, int shift, uint64_t mask) {
+        uint64_t x = v;
+        for (int i = 0; i <= 64 / shift; ++i)
+            x = v ^ ((x << shift) & mask);
+        return x;
+    };
+    y = undoRight(y, 43, ~uint64_t{0});
+    y = undoLeft(y, 37, 0xFFF7EEE000000000ull);
+    y = undoLeft(y, 17, 0x71D67FFFEDA60000ull);
+    return undoRight(y, 29, 0x5555555555555555ull);
+}
+
+/** Make @p words the next outputs of @p rng, then its own stream. */
+void
+plantWords(Rng &rng, const std::vector<uint64_t> &words)
+{
+    rng.engine().discard(1); // refilled: positions 1.. come next
+    std::stringstream text;
+    text << rng.engine();
+    std::vector<uint64_t> state(Rng::Engine::state_size);
+    size_t pos = 0;
+    for (uint64_t &w : state)
+        text >> w;
+    text >> pos;
+    for (size_t i = 0; i < words.size(); ++i)
+        state[pos + i] = untemper(words[i]);
+    std::stringstream planted;
+    for (uint64_t w : state)
+        planted << w << ' ';
+    planted << pos;
+    planted >> rng.engine();
+}
+
 TEST_P(PropertySweep, SparseSampleMatchesPerShotReference)
 {
-    // SparseState::sample tallies by support index; for equal seeds it
-    // returns the same counts, the same map() iteration sequence and
-    // the same RNG position as one Counts::add per drawn key.
+    // SparseState::sample draws in blocks and tallies by support index;
+    // for equal seeds it returns the same counts, the same map()
+    // iteration sequence and the same engine position as one
+    // Counts::add per AliasTable::sample draw.  Supports span the
+    // single-state path and 257 states, shot counts the block edges.
+    // Half the seeds use equal weights, where slot boundaries decide
+    // the index; the rest zero out some entries, except that the
+    // 2-state one accepts its last slot just below 1 (prob 1 - 2^-53),
+    // where only the clamp of the top word keeps that slot.  Each
+    // stream opens with words where the double conversion rounds or
+    // clamps: k * 2^62 - 1 rounds up onto a slot boundary for 2 and 4
+    // states.
     const int n = 12;
-    const size_t support = 1 + rng.index(GetParam() % 2 == 0 ? 8 : 200);
+    const size_t sizes[] = {1, 2, 1 + rng.index(8), 257, 1 + rng.index(200),
+                            4};
+    const size_t support = sizes[GetParam() % 6];
+    const bool equal_weights = GetParam() < 6;
     std::vector<BitVec> keys;
     while (keys.size() < support) {
         BitVec key;
@@ -492,23 +548,49 @@ TEST_P(PropertySweep, SparseSampleMatchesPerShotReference)
     }
     std::sort(keys.begin(), keys.end());
     std::vector<std::complex<double>> amps;
-    for (size_t i = 0; i < support; ++i)
-        amps.emplace_back(rng.uniformReal(-1.0, 1.0),
-                          rng.uniformReal(-1.0, 1.0));
+    for (size_t i = 0; i < support; ++i) {
+        if (equal_weights)
+            amps.emplace_back(0.5, 0.0);
+        else if (rng.bernoulli(0.25))
+            amps.emplace_back(0.0, 0.0);
+        else
+            amps.emplace_back(rng.uniformReal(-1.0, 1.0),
+                              rng.uniformReal(-1.0, 1.0));
+    }
+    if (support == 2 && !equal_weights)
+        amps = {1.0, 1.0 - 0x1p-53};
+    if (std::all_of(amps.begin(), amps.end(),
+                    [](std::complex<double> a) { return std::norm(a) == 0; }))
+        amps[rng.index(support)] = 1.0;
     const qsim::SparseState state =
         qsim::SparseState::fromSorted(n, keys, amps);
+    std::vector<double> weights;
+    for (const std::complex<double> &a : amps)
+        weights.push_back(std::norm(a));
+    const qsim::AliasTable table(weights);
 
-    for (uint64_t shots : {uint64_t{1}, uint64_t{17}, uint64_t{512}}) {
+    const uint64_t top = ~uint64_t{0};
+    const std::vector<uint64_t> edge_words = {
+        (uint64_t{1} << 63) - 1, (uint64_t{1} << 62) - 1,
+        (uint64_t{3} << 62) - 1, 0, 1, (uint64_t{1} << 53) - 1,
+        uint64_t{1} << 53, (uint64_t{1} << 53) + 1, uint64_t{1} << 63,
+        top - 1024, top - 1023, top};
+    {
+        Rng check(GetParam());
+        plantWords(check, edge_words);
+        for (uint64_t w : edge_words)
+            ASSERT_EQ(check.engine()(), w);
+    }
+
+    for (uint64_t shots : {1, 17, 255, 256, 257, 512, 1000}) {
         const std::string where = "seed " + std::to_string(GetParam()) +
                                   " support " + std::to_string(support) +
                                   " shots " + std::to_string(shots);
         Rng fast_rng(GetParam() + shots), ref_rng(GetParam() + shots);
+        plantWords(fast_rng, edge_words);
+        plantWords(ref_rng, edge_words);
         qsim::Counts fast = state.sample(fast_rng, shots);
 
-        std::vector<double> weights;
-        for (const std::complex<double> &a : amps)
-            weights.push_back(std::norm(a));
-        qsim::AliasTable table(weights);
         qsim::Counts ref;
         for (uint64_t s = 0; s < shots; ++s)
             ref.add(keys[table.sample(ref_rng)]);
