@@ -3,8 +3,7 @@
  * A/B benchmark for the sparse simulation engine: the seed hash-map
  * engine (bench/legacy_sparsestate.h, preserved verbatim as an
  * independent reference) against the flat structure-of-arrays engine
- * (qsim/sparsestate.h), plus the rotation-plan cache's replay-vs-direct
- * timing and hit rate.
+ * (qsim/sparsestate.h).
  *
  * Workload: the full pruned transition chain of the Figure-10
  * scalability FLP instances (up to 105 variables, maxTrackedStates
@@ -12,7 +11,7 @@
  * exactly the inner loop the optimizer executes hundreds of times per
  * solve.  Every A/B case also records the maximum absolute amplitude
  * difference between the engines so the artifact doubles as an
- * agreement check (CI asserts <= 1e-10 and a plan-cache hit rate > 0).
+ * agreement check (CI asserts <= 1e-10).
  *
  * Knobs: RASENGAN_BENCH_FAST=1 trims sizes/repeats for CI smoke runs;
  * RASENGAN_BENCH_JSON overrides the output path (BENCH_sparse.json).
@@ -32,7 +31,6 @@
 #include "core/rasengan.h"
 #include "legacy_sparsestate.h"
 #include "problems/suite.h"
-#include "qsim/sparseplan.h"
 #include "qsim/sparsestate.h"
 
 namespace {
@@ -42,7 +40,7 @@ using namespace rasengan;
 struct Record
 {
     std::string kernel;
-    std::string variant; ///< "legacy", "soa", "plan_cache_on", ...
+    std::string variant; ///< "legacy" or "soa"
     int repeats = 0;
     double medianMs = 0.0;
     double minMs = 0.0;
@@ -216,81 +214,6 @@ benchEngineAB(const std::vector<int> &sizes, int repeats)
 }
 
 void
-benchPlanCache(int num_vars, int iterations, int repeats)
-{
-    bench::banner("rotation-plan cache (optimizer-loop shape)");
-    bench::Table table({"vars", "variant", "median_ms", "hit_rate"});
-    table.printHeader();
-
-    problems::Problem p = problems::makeScalabilityFlp(num_vars);
-    core::RasenganOptions base;
-    base.maxTrackedStates = 20000;
-    base.execution = core::RasenganOptions::Execution::ExactSparse;
-
-    // The optimizer-loop shape: execute() the segmented pipeline
-    // `iterations` times with slightly different angle vectors, as
-    // training does.  The cached solver records on iteration 0 and
-    // replays thereafter.
-    auto loop = [&](bool cache) {
-        core::RasenganOptions o = base;
-        o.cacheRotationPlans = cache;
-        core::RasenganSolver solver(p, o);
-        std::vector<double> times(solver.numParams(), 0.6);
-        Rng rng(5);
-        for (int it = 0; it < iterations; ++it) {
-            for (auto &t : times)
-                t = 0.4 + 0.002 * it + 0.3 * std::sin(0.37 * it);
-            auto dist = solver.execute(times, rng);
-            volatile size_t sink = dist.entries.size();
-            (void)sink;
-        }
-        return solver.planStats();
-    };
-
-    core::PlanStats stats_off, stats_on;
-    // timeKernel's Record& dangles once the next call pushes into
-    // g_records: finish each record before timing the next variant.
-    Record &off = timeKernel("optimizer_loop_" + std::to_string(num_vars),
-                             "plan_cache_off", repeats,
-                             [&] { stats_off = loop(false); });
-    off.extra.emplace_back("vars", num_vars);
-    off.extra.emplace_back("iterations", iterations);
-    const double off_ms = off.medianMs;
-
-    Record &on = timeKernel("optimizer_loop_" + std::to_string(num_vars),
-                            "plan_cache_on", repeats,
-                            [&] { stats_on = loop(true); });
-
-    const double lookups =
-        static_cast<double>(stats_on.hits() + stats_on.misses());
-    const double hit_rate =
-        lookups > 0.0 ? static_cast<double>(stats_on.hits()) / lookups : 0.0;
-    on.extra.emplace_back("vars", num_vars);
-    on.extra.emplace_back("iterations", iterations);
-    on.extra.emplace_back("plan_hit_rate", hit_rate);
-    on.extra.emplace_back("plans_recorded",
-                          static_cast<double>(stats_on.recorded));
-    on.extra.emplace_back("plans_replayed",
-                          static_cast<double>(stats_on.replayed));
-    on.extra.emplace_back("plans_aborted",
-                          static_cast<double>(stats_on.aborted));
-    on.extra.emplace_back("speedup_vs_uncached",
-                          on.medianMs > 0.0 ? off_ms / on.medianMs
-                                            : 0.0);
-
-    table.cell(num_vars);
-    table.cell("off");
-    table.cell(off_ms);
-    table.cell("-");
-    table.endRow();
-    table.cell(num_vars);
-    table.cell("on");
-    table.cell(on.medianMs);
-    table.cell(hit_rate, "%.3f");
-    table.endRow();
-}
-
-void
 writeJson(const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
@@ -340,7 +263,6 @@ main()
                 fast ? " (fast mode)" : "");
 
     benchEngineAB(sizes, repeats);
-    benchPlanCache(fast ? 33 : 52, fast ? 10 : 30, fast ? 2 : 3);
 
     const char *env = std::getenv("RASENGAN_BENCH_JSON");
     writeJson(env && *env ? env : "BENCH_sparse.json");

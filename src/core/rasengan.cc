@@ -11,7 +11,6 @@
 #include "core/basis.h"
 #include "device/mitigation.h"
 #include "obs/flight.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/cobyla.h"
 #include "problems/metrics.h"
@@ -25,34 +24,6 @@ using ProbMap = std::unordered_map<BitVec, double, BitVecHash>;
 using ShotMap = std::unordered_map<BitVec, uint64_t, BitVecHash>;
 
 constexpr double kFailureScore = 1e18;
-
-/**
- * Registry mirrors of the per-solver PlanStats counters.  The struct
- * stays (tests and summaries read it per instance); the registry view
- * aggregates across every solver in the process for export.
- */
-struct PlanCounters
-{
-    obs::Counter &recorded = obs::Registry::global().counter(
-        "sparse_plan_recorded_total",
-        "Sparse rotation plans recorded from direct execution");
-    obs::Counter &replayed = obs::Registry::global().counter(
-        "sparse_plan_replayed_total",
-        "Segment evolutions served by replaying a cached plan");
-    obs::Counter &aborted = obs::Registry::global().counter(
-        "sparse_plan_aborted_total",
-        "Plan replays aborted by support collapse at these angles");
-    obs::Counter &invalidated = obs::Registry::global().counter(
-        "sparse_plan_invalidated_total",
-        "Plans marked non-replayable while recording");
-};
-
-PlanCounters &
-planCounters()
-{
-    static PlanCounters counters;
-    return counters;
-}
 
 /** "seg=<s>" span detail, built only when a span will record it. */
 std::string
@@ -143,7 +114,8 @@ buildPipelineArtifacts(const problems::Problem &problem,
             artifacts.segmentCosts.push_back(
                 {.circuitUs = latency.circuitTimeUs(lowered),
                  .depth = optimized.depth(),
-                 .cx = optimized.countCx()});
+                 .cx = optimized.countCx(),
+                 .loweredCx = lowered.countCx()});
         }
     }
     return artifacts;
@@ -157,7 +129,8 @@ RasenganSolver::RasenganSolver(problems::Problem problem,
                     : std::make_shared<const PipelineArtifacts>(
                           buildPipelineArtifacts(problem_, options_))),
       executor_(std::make_unique<exec::ResilientExecutor>(
-          options_.resilience))
+          options_.resilience)),
+      sim_(problem_.numVars(), BitVec{})
 {
     device::LatencyModel latency(options_.latencyDevice);
     for (int s = 0; s < static_cast<int>(segments().size()); ++s) {
@@ -167,81 +140,22 @@ RasenganSolver::RasenganSolver(problems::Problem problem,
         segmentSeconds_.push_back(latency.executionTimeSeconds(
             segmentCosts()[s].circuitUs, shots));
     }
-    planCache_.resize(segments().size());
 }
 
-qsim::SparseState
+const qsim::SparseState &
 RasenganSolver::evolveSegment(int seg_index, const BitVec &init,
                               const std::vector<double> &times) const
 {
-    // One span per evolution regardless of the record/replay branch
-    // taken below, so the span tree is independent of cache state.
     obs::Span span("segment-evolve", "evolve", segmentDetail(seg_index));
     const Segment &seg = segments()[seg_index];
-    const int n = problem_.numVars();
-    const double threshold = options_.sparsePruneThreshold;
-    const double *seg_times = times.data() + seg.firstStep;
-
-    auto direct = [&](qsim::SparseSegmentPlan *plan) {
-        qsim::SparseState sim(n, init);
-        const uint64_t epoch0 = sim.supportEpoch();
-        for (int k = 0; k < seg.stepCount; ++k) {
-            qsim::SparseStepPlan *step = nullptr;
-            if (plan != nullptr)
-                step = &plan->steps.emplace_back();
-            transitions()[chain().steps[seg.firstStep + k]].applyTo(
-                sim, seg_times[k], threshold, step);
-        }
-        if (plan != nullptr) {
-            // Pruning during recording means the captured index
-            // structure tracked THIS angle vector's support collapse --
-            // it is not angle-independent, so the plan must never
-            // replay.  (Replays of healthy plans re-detect this per
-            // angle vector and fall back; see replaySegmentPlan.)
-            if (sim.supportEpoch() != epoch0)
-                plan->replayable = false;
-            else
-                plan->finalKeys = sim.keys();
-        }
-        if (sim.supportSize() > maxObservedSupport_)
-            maxObservedSupport_ = sim.supportSize();
-        return sim;
-    };
-
-    if (!options_.cacheRotationPlans)
-        return direct(nullptr);
-
-    auto [it, inserted] = planCache_[seg_index].try_emplace(init);
-    qsim::SparseSegmentPlan &plan = it->second;
-    if (inserted) {
-        plan.numQubits = n;
-        plan.steps.reserve(seg.stepCount);
-        qsim::SparseState sim = direct(&plan);
-        ++planStats_.recorded;
-        planCounters().recorded.inc();
-        if (!plan.replayable) {
-            ++planStats_.invalidated;
-            planCounters().invalidated.inc();
-        }
-        return sim;
-    }
-
-    if (plan.replayable) {
-        auto replayed = qsim::replaySegmentPlan(plan, seg_times, threshold);
-        if (replayed.has_value()) {
-            ++planStats_.replayed;
-            planCounters().replayed.inc();
-            if (replayed->supportSize() > maxObservedSupport_)
-                maxObservedSupport_ = replayed->supportSize();
-            return std::move(*replayed);
-        }
-        // These angles rotate some state below the prune threshold; the
-        // plan's structure no longer applies.  Keep the plan (other
-        // angle vectors may still replay) and run the direct kernels.
-        ++planStats_.aborted;
-        planCounters().aborted.inc();
-    }
-    return direct(nullptr);
+    sim_.reset(init);
+    for (int pos = seg.firstStep; pos < seg.firstStep + seg.stepCount;
+         ++pos)
+        transitions()[chain().steps[pos]].applyTo(
+            sim_, times[pos], options_.sparsePruneThreshold);
+    maxObservedSupport_ =
+        std::max<uint64_t>(maxObservedSupport_, sim_.supportSize());
+    return sim_;
 }
 
 circuit::Circuit
@@ -301,18 +215,17 @@ RasenganSolver::sampleSegment(
             for (const auto &[y, cnt] : part.map())
                 raw.add(y, cnt);
         } else {
-            qsim::SparseState sim = evolveSegment(seg_index, state, times);
+            const qsim::SparseState &sim =
+                evolveSegment(seg_index, state, times);
             qsim::Counts part = sim.sample(rng, state_shots);
             if (options_.execution ==
                 RasenganOptions::Execution::NoisyInjected) {
                 // Error injection: each shot is corrupted with the
                 // probability that at least one CX in the segment
                 // failed; a corrupted shot takes random bit flips.
-                circuit::Circuit circ =
-                    segmentCircuit(seg_index, state, times);
-                circuit::Circuit lowered = lowerSegment(circ);
-                double p_err = 1.0 - std::pow(1.0 - options_.noise.depol2q,
-                                              lowered.countCx());
+                double p_err =
+                    1.0 - std::pow(1.0 - options_.noise.depol2q,
+                                   segmentCosts()[seg_index].loweredCx);
                 qsim::Counts corrupted;
                 for (const auto &[y, cnt] : part.map()) {
                     for (uint64_t i = 0; i < cnt; ++i) {
@@ -412,7 +325,8 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
                 return result;
             ProbMap out;
             for (const auto &[state, p] : dist) {
-                qsim::SparseState sim = evolveSegment(s, state, times);
+                const qsim::SparseState &sim =
+                    evolveSegment(s, state, times);
                 const std::vector<BitVec> &keys = sim.keys();
                 const auto &amps = sim.amps();
                 for (size_t i = 0; i < keys.size(); ++i)
@@ -481,8 +395,11 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
         first_seg = std::min(cp.nextSegment, num_segments);
         result.prePurifyFeasibleFraction = cp.prePurifyFeasibleFraction;
         if (!cp.rngState.empty()) {
+            // parseCheckpoint validated the text, so this cannot fail.
             std::istringstream is(cp.rngState);
             is >> rng.engine();
+            panic_if(!is, "checkpoint rng state '{}' did not load",
+                     cp.rngState);
         }
     }
 

@@ -30,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "circuit/transpile.h"
@@ -44,7 +43,6 @@
 #include "opt/optimizer.h"
 #include "problems/problem.h"
 #include "qsim/noise.h"
-#include "qsim/sparseplan.h"
 #include "qsim/sparsestate.h"
 
 namespace rasengan::core {
@@ -100,17 +98,6 @@ struct RasenganOptions
     int rounds = -1;               ///< chain rounds; -1 = m (Theorem 1)
     size_t maxTrackedStates = size_t{1} << 20; ///< pruning reachability cap
     /**
-     * Record the index-space structure of every sparse segment evolution
-     * the first time it runs and replay it on later executions of the
-     * same (segment, input state) -- the structure depends only on the
-     * circuit, not the evolution times, so the optimizer's hundreds of
-     * iterations skip partner searches and key merges entirely.  Replay
-     * is bit-identical to direct execution: a plan is invalidated when
-     * pruning changed the support while recording, and replay falls back
-     * to the direct kernels the moment the current angles would prune.
-     */
-    bool cacheRotationPlans = true;
-    /**
      * Post-rotation prune threshold on |amplitude|^2 forwarded to every
      * sparse kernel invocation (<= 0 disables pruning entirely, keeping
      * exact zeros in the support).
@@ -133,8 +120,8 @@ struct RasenganOptions
      */
     std::shared_ptr<const struct PipelineArtifacts> pipeline;
     /**
-     * Optional transpile memo for the two noisy backends, which lower
-     * each segment at its trained times: when set, those lowerings go
+     * Optional transpile memo for NoisyGateLevel, which lowers each
+     * segment at its trained times: when set, those lowerings go
      * through this hook instead of circuit::transpile directly, letting
      * the serve layer content-address transpiled circuits across jobs.
      * The hook MUST be semantically transparent (return exactly
@@ -176,6 +163,13 @@ struct SegmentCost
     double circuitUs = 0.0;
     int depth = 0; ///< depth after optimizeCircuit
     int cx = 0;    ///< CX count after optimizeCircuit
+    /**
+     * CX count of the transpiled circuit before optimizeCircuit.  Input
+     * state and evolution times never change it (X preparation adds no
+     * CX, and lowering does not branch on angles), so NoisyInjected
+     * reads its error rate from here at any trained times.
+     */
+    int loweredCx = 0;
 };
 
 /**
@@ -264,18 +258,6 @@ struct RasenganResult
     exec::DegradationLevel degradation = exec::DegradationLevel::Full;
 };
 
-/** Rotation-plan cache effectiveness counters (see planStats()). */
-struct PlanStats
-{
-    uint64_t recorded = 0;    ///< segment plans built by direct execution
-    uint64_t replayed = 0;    ///< segment evolutions served from a plan
-    uint64_t aborted = 0;     ///< replays that hit a prune and fell back
-    uint64_t invalidated = 0; ///< plans unusable (pruning during record)
-
-    uint64_t hits() const { return replayed; }
-    uint64_t misses() const { return recorded + aborted + invalidated; }
-};
-
 class RasenganSolver
 {
   public:
@@ -337,9 +319,6 @@ class RasenganSolver
      */
     exec::ResilientExecutor &executor() const { return *executor_; }
 
-    /** Rotation-plan cache counters accumulated across executions. */
-    const PlanStats &planStats() const { return planStats_; }
-
     /**
      * Largest sparse-simulator support seen at any segment boundary
      * across every execution so far -- the observed support-growth
@@ -364,11 +343,12 @@ class RasenganSolver
     /**
      * Evolve |init> through segment @p seg_index at the given times --
      * the single sparse-evolution entry point shared by the exact and
-     * sampled backends.  Uses the rotation-plan cache when enabled;
-     * always bit-identical to the direct kernels.
+     * sampled backends.  Returns the solver's one reused state, which
+     * the next call overwrites.
      */
-    qsim::SparseState evolveSegment(int seg_index, const BitVec &init,
-                                    const std::vector<double> &times) const;
+    const qsim::SparseState &
+    evolveSegment(int seg_index, const BitVec &init,
+                  const std::vector<double> &times) const;
 
     problems::Problem problem_;
     RasenganOptions options_;
@@ -378,17 +358,13 @@ class RasenganSolver
      *  shot count, from the nominal segment costs. */
     std::vector<double> segmentSeconds_;
     /**
-     * Rotation-plan memo: one map per segment, keyed by the segment's
-     * input basis state.  Like executor_, this is per-solver mutable
-     * state: a solver instance is driven from one thread at a time (the
-     * serve layer builds one solver per job), so no synchronization is
-     * needed.  An entry may be !replayable; it is kept to suppress
-     * repeated recording attempts.
+     * The state every segment evolution runs in, reset per evolution so
+     * its buffers are reused.  Like executor_, this is per-solver
+     * mutable state: a solver instance is driven from one thread at a
+     * time (the serve layer builds one solver per job), so no
+     * synchronization is needed.
      */
-    mutable std::vector<
-        std::unordered_map<BitVec, qsim::SparseSegmentPlan, BitVecHash>>
-        planCache_;
-    mutable PlanStats planStats_;
+    mutable qsim::SparseState sim_;
     mutable uint64_t maxObservedSupport_ = 0;
 };
 

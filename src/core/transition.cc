@@ -41,14 +41,12 @@ TransitionHamiltonian::partner(const BitVec &x) const
 
 void
 TransitionHamiltonian::applyTo(qsim::SparseState &state, double t,
-                               double prune_threshold,
-                               qsim::SparseStepPlan *record) const
+                               double prune_threshold) const
 {
     panic_if(state.numQubits() < numVars(),
              "state has {} qubits, transition needs {}", state.numQubits(),
              numVars());
-    state.applyPairRotation(mask_, patternPlus_, t, prune_threshold,
-                            record);
+    state.applyPairRotation(mask_, patternPlus_, t, prune_threshold);
 }
 
 void

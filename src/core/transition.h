@@ -59,15 +59,12 @@ class TransitionHamiltonian
 
     /**
      * Exact evolution e^{-i H^tau t} on a sparse state (Equation 6).
-     * @p prune_threshold and @p record forward to
-     * SparseState::applyPairRotation: the threshold drops states rotated
-     * below it (<= 0 keeps everything), the optional plan records the
-     * rotation's angle-independent index structure for replay.
+     * @p prune_threshold forwards to SparseState::applyPairRotation: it
+     * drops states rotated below it (<= 0 keeps everything).
      */
     void applyTo(qsim::SparseState &state, double t,
                  double prune_threshold =
-                     qsim::SparseState::kDefaultPruneThreshold,
-                 qsim::SparseStepPlan *record = nullptr) const;
+                     qsim::SparseState::kDefaultPruneThreshold) const;
 
     /**
      * Append the transition operator tau(u, t) to @p circ: X conjugation

@@ -1,8 +1,11 @@
 #include "exec/checkpoint.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "common/rng.h"
 
 namespace rasengan::exec {
 
@@ -15,6 +18,29 @@ corrupt(int line, const std::string &message)
 {
     return ExecError{ErrorCode::CheckpointCorrupt,
                      "line " + std::to_string(line) + ": " + message};
+}
+
+/**
+ * True when @p text is an engine state Rng::Engine reads back: its
+ * state_size words, then a position of at most state_size, and
+ * nothing else.  Each number is unsigned decimal.
+ */
+bool
+validRngState(const std::string &text)
+{
+    std::istringstream ss(text);
+    std::string token;
+    size_t count = 0;
+    uint64_t value = 0;
+    while (ss >> token) {
+        const char *end = token.data() + token.size();
+        auto [ptr, ec] = std::from_chars(token.data(), end, value);
+        if (ec != std::errc() || ptr != end)
+            return false;
+        ++count;
+    }
+    return count == Rng::Engine::state_size + 1 &&
+           value <= Rng::Engine::state_size;
 }
 
 } // namespace
@@ -107,6 +133,11 @@ parseCheckpoint(const std::string &text)
                 cp.rngState.erase(0, 1);
             if (cp.rngState.empty())
                 return corrupt(line_no, "empty rng state");
+            if (!validRngState(cp.rngState))
+                return corrupt(line_no,
+                               "rng state is not " +
+                                   std::to_string(Rng::Engine::state_size) +
+                                   " words and a position");
         } else if (keyword == "entry") {
             std::string bits;
             if (!(ss >> bits))

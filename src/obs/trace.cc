@@ -696,10 +696,9 @@ namespace {
  * signing: batch -> job -> solver stages -> segment evolution and
  * sampling.  Everything else a worker records is work that an
  * artifact-cache hit can skip entirely -- the RASENGAN_PROF kernel
- * hooks (a rotation-plan replay bypasses the direct kernels),
- * transpile, transition-set construction, nullspace solves -- and the
- * caches are per-worker-process, so whether those spans exist depends
- * on how jobs were partitioned.  They stay in the merged TRACE at
+ * hooks, transpile, transition-set construction, nullspace solves --
+ * and the caches are per-worker-process, so whether those spans exist
+ * depends on how jobs were partitioned.  They stay in the merged TRACE at
  * full fidelity; they are just not part of the partition-invariance
  * claim the signature makes.
  */

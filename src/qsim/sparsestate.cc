@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "obs/prof.h"
-#include "qsim/sparseplan.h"
 
 namespace rasengan::qsim {
 
@@ -14,11 +13,14 @@ namespace {
 
 constexpr SparseState::Complex kI{0.0, 1.0};
 
-/** Pair-plan indices are 32-bit; a support must leave room for them. */
+/** Pair indices are 32-bit; a support must leave room for them. */
 constexpr uint64_t kMaxSupport = UINT32_MAX / 2;
 
-} // namespace
-
+/**
+ * Rotate each (plus, minus) slot pair of @p amps by angle @p t:
+ * a+' = cos(t) a+ - i sin(t) a-, and symmetrically for a-.  Pairs must
+ * be disjoint.
+ */
 void
 rotatePairs(std::vector<SparseState::Complex> &amps,
             const std::vector<std::pair<uint32_t, uint32_t>> &pairs,
@@ -41,6 +43,8 @@ rotatePairs(std::vector<SparseState::Complex> &amps,
     }
 }
 
+} // namespace
+
 SparseState::SparseState(int num_qubits, const BitVec &basis)
     : numQubits_(num_qubits)
 {
@@ -49,6 +53,13 @@ SparseState::SparseState(int num_qubits, const BitVec &basis)
              num_qubits);
     keys_.push_back(basis);
     amps_.push_back(Complex{1.0, 0.0});
+}
+
+void
+SparseState::reset(const BitVec &basis)
+{
+    keys_.assign(1, basis);
+    amps_.assign(1, Complex{1.0, 0.0});
 }
 
 SparseState
@@ -131,27 +142,22 @@ SparseState::prune(double threshold)
         ++w;
     }
     const size_t removed = n - w;
-    if (removed > 0) {
-        keys_.resize(w);
-        amps_.resize(w);
-        ++supportEpoch_;
-    }
+    keys_.resize(w);
+    amps_.resize(w);
     return removed;
 }
 
 void
 SparseState::applyPairRotation(const BitVec &mask,
                                const BitVec &pattern_plus, double t,
-                               double prune_threshold,
-                               SparseStepPlan *record)
+                               double prune_threshold)
 {
     panic_if(mask == BitVec{}, "pair rotation with empty support");
-    RASENGAN_PROF("kernel", "sparse-pair-rotation");
     const BitVec pattern_minus = pattern_plus ^ mask;
 
     const size_t n = keys_.size();
     fatal_if(n >= kMaxSupport, "sparse support of {} states overflows the "
-             "32-bit pair-plan index space", n);
+             "32-bit pair index space", n);
 
     // Pass 1 (index order): classify every populated state, locate its
     // partner by binary search over the sorted keys, and enumerate each
@@ -193,23 +199,17 @@ SparseState::applyPairRotation(const BitVec &mask,
     old_to_new.resize(n);
     next_keys.resize(n_next);
     next_amps.resize(n_next);
-    if (record)
-        record->scatter.resize(n_next);
     size_t a = 0, b = 0;
     for (size_t k = 0; k < n_next; ++k) {
         if (b == created.size() || (a < n && keys_[a] < created[b].key)) {
             old_to_new[a] = static_cast<uint32_t>(k);
             next_keys[k] = keys_[a];
             next_amps[k] = amps_[a];
-            if (record)
-                record->scatter[k] = static_cast<uint32_t>(a);
             ++a;
         } else {
             created[b].slot = static_cast<uint32_t>(k);
             next_keys[k] = created[b].key;
             next_amps[k] = Complex{0.0, 0.0};
-            if (record)
-                record->scatter[k] = kPlanNoSource;
             ++b;
         }
     }
@@ -230,9 +230,6 @@ SparseState::applyPairRotation(const BitVec &mask,
 
     // Pass 3: rotate each pair.
     rotatePairs(next_amps, pairs, t);
-
-    if (record)
-        record->pairs.assign(pairs.begin(), pairs.end());
 
     // Adopt the merged layout; the old storage becomes next round's
     // scratch.

@@ -38,17 +38,14 @@
  *    normSquared sums through common/parallel.h's reduceBlocks, as
  *    the dense engine does (partial sums over fixed 2^14-state blocks,
  *    added in index order).
- *  - applyPairRotation can record the index-space structure of the
- *    rotation (scatter + pair indices) into a SparseStepPlan; since
- *    that structure depends only on the support and the transition --
- *    never on the angle -- recorded plans are replayed across optimizer
- *    iterations (see qsim/sparseplan.h).
+ *  - reset() returns a state to one basis state without releasing its
+ *    key, amplitude or scratch storage, so a solver evolves every
+ *    segment in one reused SparseState, and segment evolution stops
+ *    allocating once the buffers have grown to the largest support.
  *
  * Pruning is a caller-visible policy: applyPairRotation takes the
  * threshold explicitly (<= 0 disables the post-rotation prune), and
- * prune() reports how many states it removed while bumping a support
- * epoch so plan caching can detect that the angle-independence
- * assumption broke for the current angles.
+ * prune() reports how many states it removed.
  */
 
 #ifndef RASENGAN_QSIM_SPARSESTATE_H
@@ -63,8 +60,6 @@
 #include "qsim/counts.h"
 
 namespace rasengan::qsim {
-
-struct SparseStepPlan;
 
 class SparseState
 {
@@ -83,10 +78,18 @@ class SparseState
 
     /**
      * Adopt an externally built support: @p keys strictly ascending,
-     * one amplitude per key.  Used by the rotation-plan replay path.
+     * one amplitude per key (tests and benches build states this way).
      */
     static SparseState fromSorted(int num_qubits, std::vector<BitVec> keys,
                                   std::vector<Complex> amps);
+
+    /**
+     * Return to the basis state @p basis on the same wires.  Equal,
+     * key for key and bit for bit, to a fresh SparseState(numQubits(),
+     * basis), but the key, amplitude and scratch buffers keep their
+     * capacity.
+     */
+    void reset(const BitVec &basis);
 
     int numQubits() const { return numQubits_; }
     size_t supportSize() const { return keys_.size(); }
@@ -97,13 +100,6 @@ class SparseState
     /** Amplitudes, parallel to keys(). */
     const std::vector<Complex> &amps() const { return amps_; }
 
-    /**
-     * Number of times prune() actually removed states.  A segment plan
-     * recorded while the epoch stayed constant is angle-independent;
-     * any bump invalidates it (qsim/sparseplan.h).
-     */
-    uint64_t supportEpoch() const { return supportEpoch_; }
-
     Complex amplitude(const BitVec &basis) const;
     double probability(const BitVec &basis) const;
     double normSquared() const;
@@ -111,7 +107,7 @@ class SparseState
 
     /**
      * Drop entries with |amp|^2 below @p threshold.  Returns the number
-     * of states removed; the support epoch advances when that is > 0.
+     * of states removed.
      */
     size_t prune(double threshold = kDefaultPruneThreshold);
 
@@ -123,14 +119,11 @@ class SparseState
      * rotate pairwise; all other states are dark and untouched.
      *
      * @p prune_threshold is applied after the rotation (<= 0 keeps every
-     * state, including exact zeros).  When @p record is non-null the
-     * angle-independent index structure of this rotation is written into
-     * it for later replay.
+     * state, including exact zeros).
      */
     void applyPairRotation(const BitVec &mask, const BitVec &pattern_plus,
                            double t,
-                           double prune_threshold = kDefaultPruneThreshold,
-                           SparseStepPlan *record = nullptr);
+                           double prune_threshold = kDefaultPruneThreshold);
 
     /** Pauli-X on wire @p q (key rewrite + two-way merge, no re-sort). */
     void applyX(int q);
@@ -166,7 +159,6 @@ class SparseState
     int numQubits_;
     std::vector<BitVec> keys_; ///< strictly ascending
     std::vector<Complex> amps_;
-    uint64_t supportEpoch_ = 0;
 
     /**
      * Reused per-rotation scratch (created partners, merge buffers):

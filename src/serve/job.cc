@@ -351,11 +351,7 @@ writeTelemetry(const JobResult &result)
         .field("cache_pipeline_misses", result.telemetry.cachePipelineMisses)
         .field("cache_circuit_hits", result.telemetry.cacheCircuitHits)
         .field("cache_circuit_misses", result.telemetry.cacheCircuitMisses);
-    w.field("plan_recorded", result.telemetry.planRecorded)
-        .field("plan_replayed", result.telemetry.planReplayed)
-        .field("plan_aborted", result.telemetry.planAborted)
-        .field("plan_invalidated", result.telemetry.planInvalidated)
-        .field("support_max", result.telemetry.supportMax);
+    w.field("support_max", result.telemetry.supportMax);
     if (!result.telemetry.traceId.empty())
         w.field("trace_id", result.telemetry.traceId);
     return w.str();

@@ -118,14 +118,6 @@ struct JobTelemetry
     uint64_t cacheCircuitHits = 0, cacheCircuitMisses = 0;
     /// @}
 
-    /// @name Rotation-plan cache outcome (rasengan jobs)
-    /// @{
-    uint64_t planRecorded = 0;
-    uint64_t planReplayed = 0;
-    uint64_t planAborted = 0;
-    uint64_t planInvalidated = 0;
-    /// @}
-
     /** Peak sparse-simulator support observed (support-growth
      *  summary). */
     uint64_t supportMax = 0;

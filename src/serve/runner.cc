@@ -369,9 +369,9 @@ JobRunner::solveRasengan(const PreparedJob &job,
                 &counters, "pipeline");
     }
 
-    // Transpiled segment circuits of the noisy backends (the others
-    // read the pipeline's segment costs): content-addressed by the
-    // input circuit's fingerprint + lowering options, shared across
+    // Transpiled segment circuits of the gate-level noisy backend (the
+    // others read the pipeline's segment costs): content-addressed by
+    // the input circuit's fingerprint + lowering options, shared across
     // jobs.
     {
         std::shared_ptr<ArtifactCache> cache = cache_;
@@ -425,10 +425,6 @@ JobRunner::solveRasengan(const PreparedJob &job,
     out.telemetry.deadlineHit = r.deadlineHit;
     out.telemetry.degradation =
         exec::degradationLevelName(r.degradation);
-    out.telemetry.planRecorded = solver.planStats().recorded;
-    out.telemetry.planReplayed = solver.planStats().replayed;
-    out.telemetry.planAborted = solver.planStats().aborted;
-    out.telemetry.planInvalidated = solver.planStats().invalidated;
     out.telemetry.supportMax = solver.maxObservedSupport();
     if (out.ok && !opts.checkpointPath.empty()) {
         // The job is done; a stale checkpoint would only confuse the

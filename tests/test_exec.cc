@@ -3,16 +3,19 @@
  * Unit tests for the resilient execution engine: Expected, the retry
  * backoff schedule, the circuit breaker state machine on a virtual
  * clock, deterministic fault injection, the degradation ladder, and
- * checkpoint serialization (round trip + corrupted inputs).
+ * checkpoint serialization (round trip + corrupted inputs, including a
+ * solver refusing to resume from a malformed rng line).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "core/rasengan.h"
 #include "exec/backend.h"
 #include "exec/breaker.h"
 #include "exec/checkpoint.h"
@@ -21,6 +24,7 @@
 #include "exec/expected.h"
 #include "exec/faults.h"
 #include "exec/retry.h"
+#include "problems/suite.h"
 
 namespace rasengan::exec {
 namespace {
@@ -574,6 +578,63 @@ TEST(CheckpointTest, CorruptInputsAreRecoverableErrors)
                    "entry 01 5\nend\n"); // bits out of range
     expect_corrupt("rasengan-checkpoint v1\nkind shots\nbits 2\n"
                    "end\n"); // no distribution entries
+
+    // The rng line must be 312 unsigned words and a position <= 312.
+    const SegmentCheckpoint shot = sampleCheckpoint(true);
+    auto with_rng = [&](const std::string &rng) {
+        SegmentCheckpoint cp = shot;
+        cp.rngState = rng;
+        return writeCheckpoint(cp);
+    };
+    const std::string words = shot.rngState.substr(
+        0, shot.rngState.find_last_of(' ') + 1);
+    ASSERT_TRUE(parseCheckpoint(with_rng(words + "312")).ok());
+    expect_corrupt(with_rng("1 2 3"));
+    expect_corrupt(with_rng(words + "313"));            // past the end
+    expect_corrupt(with_rng(words));                    // no position
+    expect_corrupt(with_rng(words + "5 7"));            // trailing word
+    expect_corrupt(with_rng(words + "-5"));             // signed
+    expect_corrupt(with_rng(words + "5x"));             // not a number
+    expect_corrupt(with_rng("1 " + words + "5"));       // 313 words
+}
+
+TEST(CheckpointTest, ResumeRejectsAMalformedRngLine)
+{
+    // A K1 checkpoint of a fault-injected sampled solve whose rng line
+    // is rewritten to "rng 1 2 3" must be reported corrupt; the next
+    // run retrains instead of resuming from a half-loaded engine.
+    const std::string path = ::testing::TempDir() + "rasengan_cp_rng.txt";
+    std::remove(path.c_str());
+    core::RasenganOptions opts;
+    opts.maxIterations = 20;
+    opts.execution = core::RasenganOptions::Execution::SampledSparse;
+    opts.resilience.faults.rate = 0.1;
+    opts.checkpointPath = path;
+    const problems::Problem k1 = problems::makeBenchmark("K1");
+    const core::RasenganResult want = core::RasenganSolver(k1, opts).run();
+    ASSERT_FALSE(want.failed);
+
+    auto saved = loadCheckpoint(path);
+    ASSERT_TRUE(saved.ok());
+    ASSERT_FALSE(saved.value().rngState.empty());
+    std::string text = writeCheckpoint(saved.value());
+    const size_t at = text.find("\nrng ") + 1;
+    text.replace(at, text.find('\n', at) - at, "rng 1 2 3");
+    auto parsed = parseCheckpoint(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, ErrorCode::CheckpointCorrupt);
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << text;
+    }
+
+    const core::RasenganResult got = core::RasenganSolver(k1, opts).run();
+    EXPECT_FALSE(got.resumed);
+    EXPECT_EQ(got.failed, want.failed);
+    EXPECT_EQ(got.solution, want.solution);
+    EXPECT_EQ(got.expectedObjective, want.expectedObjective);
+    EXPECT_EQ(got.training.x, want.training.x);
+    std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, SaveAndLoadThroughFile)

@@ -795,8 +795,8 @@ syntheticClusterForest()
         flatEvent('E', "serve", "job", "", 50, 100, 1, true, t1, 5, 3),
     };
     // The kernel-category child must NOT reach the merged signature:
-    // which hot-path kernels run depends on the worker's private plan
-    // cache, so they cannot be partition-invariant.
+    // profiling hooks are not part of the structural span tree the
+    // signature makes partition-invariant.
     std::vector<obs::FlatEvent> sub2 = {
         flatEvent('B', "serve", "job", "j2", 60, 200, 1, true, t2, 6, 0),
         flatEvent('B', "kernel", "sparse-pair-rotation", "", 62, 201, 200,

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <memory>
 #include <numbers>
 #include <sstream>
 
@@ -334,13 +335,12 @@ TEST_P(PropertySweep, SparseMatchesDenseOnSlackSystems)
     }
 }
 
-TEST_P(PropertySweep, RotationPlansAreTransparent)
+TEST_P(PropertySweep, WarmSolverMatchesFreshSolver)
 {
-    // execute() with rotation plans on must return the direct kernels'
-    // bytes.  The first angle vector records every (segment, input
-    // state), the next two replay those plans at new angles, and the
-    // last (all pi/2) rotates sources to zero, so replays abort on a
-    // prune and fall back.  Instances: a planted system, and a
+    // A solver evolves every segment in one reused state.  Warmed by
+    // executing other angle vectors -- random ones, and all-pi/2 ones
+    // whose rotations prune their sources -- it must return the bytes
+    // a fresh solver returns.  Instances: a planted system, and a
     // ProblemBuilder system whose <=/>= rows add binary slack.
     const int n = 7;
     PlantedSystem sys = plantSystem(rng, n, 2);
@@ -348,39 +348,41 @@ TEST_P(PropertySweep, RotationPlansAreTransparent)
     for (int i = 0; i < n; ++i)
         f.addLinear(i, static_cast<double>(rng.uniformInt(1, 9)));
     std::vector<problems::Problem> instances;
-    instances.emplace_back("planted-plans", "RAND", sys.c, sys.b, f, sys.x0);
-
-    instances.push_back(randomSlackProblem(rng, "builder-plans"));
+    instances.emplace_back("planted-reuse", "RAND", sys.c, sys.b, f,
+                           sys.x0);
+    instances.push_back(randomSlackProblem(rng, "builder-reuse"));
 
     using Execution = core::RasenganOptions::Execution;
-    core::PlanStats seen;
     for (const problems::Problem &p : instances) {
         for (Execution execution :
              {Execution::ExactSparse, Execution::SampledSparse}) {
-            core::RasenganOptions on;
-            on.execution = execution;
-            on.transitionsPerSegment = 2;
-            core::RasenganOptions off = on;
-            off.cacheRotationPlans = false;
-            core::RasenganSolver planned(p, on);
-            core::RasenganSolver direct(p, off);
+            core::RasenganOptions options;
+            options.execution = execution;
+            options.transitionsPerSegment = 2;
+            options.pipeline = std::make_shared<core::PipelineArtifacts>(
+                core::buildPipelineArtifacts(p, options));
+            core::RasenganSolver warm(p, options);
 
-            std::vector<std::vector<double>> angles(3);
-            for (auto &times : angles) {
-                times.resize(planned.numParams());
+            const size_t params = static_cast<size_t>(warm.numParams());
+            auto random = [&]() {
+                std::vector<double> times(params);
                 for (double &t : times)
                     t = rng.uniformReal(-2.0, 2.0);
-            }
-            angles.emplace_back(planned.numParams(), std::numbers::pi / 2);
+                return times;
+            };
+            const std::vector<double> pruning(params, std::numbers::pi / 2);
+            const std::vector<std::vector<double>> angles = {
+                random(), pruning, random(), pruning, random()};
             for (size_t a = 0; a < angles.size(); ++a) {
                 const std::string where =
                     "seed " + std::to_string(GetParam()) + " " + p.id() +
                     " execution " +
                     std::to_string(static_cast<int>(execution)) +
                     " angles " + std::to_string(a);
-                Rng rng_on(GetParam() + a), rng_off(GetParam() + a);
-                auto want = direct.execute(angles[a], rng_off);
-                auto got = planned.execute(angles[a], rng_on);
+                core::RasenganSolver fresh(p, options);
+                Rng rng_warm(GetParam() + a), rng_fresh(GetParam() + a);
+                auto got = warm.execute(angles[a], rng_warm);
+                auto want = fresh.execute(angles[a], rng_fresh);
                 ASSERT_EQ(got.failed, want.failed) << where;
                 ASSERT_EQ(got.entries.size(), want.entries.size()) << where;
                 for (size_t i = 0; i < want.entries.size(); ++i) {
@@ -393,15 +395,8 @@ TEST_P(PropertySweep, RotationPlansAreTransparent)
                         << where << " entry " << i;
                 }
             }
-            EXPECT_EQ(direct.planStats().recorded, 0u);
-            seen.recorded += planned.planStats().recorded;
-            seen.replayed += planned.planStats().replayed;
-            seen.aborted += planned.planStats().aborted;
         }
     }
-    EXPECT_GT(seen.recorded, 0u) << "seed " << GetParam();
-    EXPECT_GT(seen.replayed, 0u) << "seed " << GetParam();
-    EXPECT_GT(seen.aborted, 0u) << "seed " << GetParam();
 }
 
 TEST_P(PropertySweep, SegmentCostsMatchFreshLowering)
@@ -454,6 +449,7 @@ TEST_P(PropertySweep, SegmentCostsMatchFreshLowering)
             circuit::Circuit optimized = circuit::optimizeCircuit(lowered);
             EXPECT_EQ(costs[s].depth, optimized.depth()) << where;
             EXPECT_EQ(costs[s].cx, optimized.countCx()) << where;
+            EXPECT_EQ(costs[s].loweredCx, lowered.countCx()) << where;
             const double us = latency.circuitTimeUs(lowered);
             EXPECT_EQ(std::memcmp(&costs[s].circuitUs, &us, sizeof(us)), 0)
                 << where << " segment " << s;
@@ -471,6 +467,44 @@ TEST_P(PropertySweep, SegmentCostsMatchFreshLowering)
             EXPECT_EQ(std::memcmp(&res.quantumSeconds, &want, sizeof(want)),
                       0)
                 << where << " " << res.quantumSeconds << " vs " << want;
+        }
+    }
+}
+
+TEST_P(PropertySweep, LoweredCxIgnoresInputAndTimes)
+{
+    // NoisyInjected reads each segment's CX count from the pipeline's
+    // SegmentCost, taken on the trivial feasible input at nominal
+    // times.  That is sound only if lowering any input basis state at
+    // any times gives the same count: random systems, transpile modes,
+    // segment sizes, input states and times, zeros included.
+    for (int k = 0; k < 3; ++k) {
+        const problems::Problem p = randomSlackProblem(rng, "builder-cx");
+        core::RasenganOptions options;
+        options.transitionsPerSegment = 1 + static_cast<int>(rng.index(3));
+        options.transpileMode = rng.bernoulli(0.5)
+                                    ? circuit::TranspileMode::GrayCode
+                                    : circuit::TranspileMode::AncillaLadder;
+        options.initialTime = rng.uniformReal(-1.5, 1.5);
+        core::RasenganSolver solver(p, options);
+        const int n = p.numVars();
+        for (size_t s = 0; s < solver.segments().size(); ++s) {
+            for (int trial = 0; trial < 4; ++trial) {
+                std::vector<double> times(solver.numParams());
+                for (double &t : times)
+                    t = rng.bernoulli(0.2) ? 0.0
+                                           : rng.uniformReal(-2.0, 2.0);
+                const BitVec input = BitVec::fromIndex(
+                    rng.uniformInt(0, (int64_t{1} << n) - 1));
+                const circuit::Circuit lowered = circuit::transpile(
+                    solver.segmentCircuit(static_cast<int>(s), input,
+                                          times),
+                    {.mode = options.transpileMode, .lowerToCx = true});
+                EXPECT_EQ(lowered.countCx(),
+                          solver.segmentCosts()[s].loweredCx)
+                    << "seed " << GetParam() << " " << p.id() << " segment "
+                    << s << " trial " << trial;
+            }
         }
     }
 }

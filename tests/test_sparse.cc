@@ -1,12 +1,11 @@
 /**
  * @file
  * Tests for the flat structure-of-arrays sparse engine
- * (qsim/sparsestate.h) and the rotation-plan cache
- * (qsim/sparseplan.h): cross-validation against a dense reference
+ * (qsim/sparsestate.h): cross-validation against a dense reference
  * evolution at 1e-12, prune/renormalize edge cases, key-order
  * invariants of the merge kernels, the blocked summation order of the
- * norm, plan record/replay equivalence including the pruning-forced
- * invalidation and abort paths, and deterministic Counts serialization.
+ * norm, reset() against a fresh state, and deterministic Counts
+ * serialization.
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +20,8 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "core/basis.h"
-#include "core/rasengan.h"
 #include "core/transition.h"
-#include "problems/suite.h"
 #include "qsim/counts.h"
-#include "qsim/sparseplan.h"
 #include "qsim/sparsestate.h"
 #include "qsim/statevector.h"
 
@@ -170,22 +165,19 @@ TEST(SparseState, DarkStatesAreUntouched)
     EXPECT_EQ(s.amplitude(BitVec{}), (Complex{1.0, 0.0}));
 }
 
-TEST(SparseState, PruneDropsBelowThresholdAndBumpsEpoch)
+TEST(SparseState, PruneDropsBelowThresholdAndCountsRemovals)
 {
     SparseState s = SparseState::fromSorted(
         4,
         {BitVec::fromIndex(1), BitVec::fromIndex(3), BitVec::fromIndex(9)},
         {Complex{1e-14, 0.0}, Complex{0.8, 0.0}, Complex{0.0, 0.6}});
-    const uint64_t epoch0 = s.supportEpoch();
     EXPECT_EQ(s.prune(1e-24), 1u);
-    EXPECT_EQ(s.supportEpoch(), epoch0 + 1);
     ASSERT_EQ(s.supportSize(), 2u);
     EXPECT_EQ(s.keys()[0], BitVec::fromIndex(3));
     EXPECT_EQ(s.keys()[1], BitVec::fromIndex(9));
-    // Nothing left below threshold: a second prune is a no-op and must
-    // NOT advance the epoch.
+    // Nothing left below threshold: a second prune removes nothing.
     EXPECT_EQ(s.prune(1e-24), 0u);
-    EXPECT_EQ(s.supportEpoch(), epoch0 + 1);
+    ASSERT_EQ(s.supportSize(), 2u);
     s.renormalize();
     EXPECT_NEAR(s.normSquared(), 1.0, 1e-12);
 }
@@ -279,169 +271,60 @@ TEST(SparseState, NormSquaredSumsFixedBlocksInIndexOrder)
         << dense_got << " vs " << dense_want;
 }
 
-/** Record a plan over a few transitions of the J1 basis. */
-struct RecordedSegment
+/** Keys equal and amplitudes bitwise equal. */
+void
+expectSameState(const SparseState &got, const SparseState &want,
+                const std::string &where)
 {
-    int n = 0;
-    std::vector<TransitionHamiltonian> taus;
-    std::vector<double> times;
-    qsim::SparseSegmentPlan plan;
-    SparseState state{1, BitVec{}};
-};
-
-RecordedSegment
-recordJ1Segment(const std::vector<double> &times)
-{
-    problems::Problem p = problems::makeBenchmark("J1");
-    auto transitions = core::makeTransitions(core::homogeneousBasis(p));
-    RecordedSegment rec;
-    rec.n = p.numVars();
-    rec.times = times;
-    rec.plan.numQubits = rec.n;
-    SparseState s(rec.n, p.trivialFeasible());
-    const uint64_t epoch0 = s.supportEpoch();
-    for (size_t k = 0; k < times.size(); ++k) {
-        const auto &tau = transitions[k % transitions.size()];
-        rec.taus.push_back(tau);
-        s.applyPairRotation(tau.mask(), tau.patternPlus(), times[k],
-                            SparseState::kDefaultPruneThreshold,
-                            &rec.plan.steps.emplace_back());
-    }
-    if (s.supportEpoch() != epoch0)
-        rec.plan.replayable = false;
-    else
-        rec.plan.finalKeys = s.keys();
-    rec.state = std::move(s);
-    return rec;
+    ASSERT_EQ(got.numQubits(), want.numQubits()) << where;
+    ASSERT_EQ(got.keys(), want.keys()) << where;
+    ASSERT_EQ(got.amps().size(), want.amps().size()) << where;
+    EXPECT_EQ(std::memcmp(got.amps().data(), want.amps().data(),
+                          want.amps().size() * sizeof(Complex)),
+              0)
+        << where;
 }
 
-TEST(SparsePlan, ReplayIsBitIdenticalToDirectExecution)
+TEST(SparseState, ResetMatchesFreshState)
 {
-    RecordedSegment rec = recordJ1Segment({0.7, 0.4, 1.1, 0.9});
-    ASSERT_TRUE(rec.plan.replayable);
-    auto replayed = qsim::replaySegmentPlan(rec.plan, rec.times.data());
-    ASSERT_TRUE(replayed.has_value());
-    ASSERT_EQ(replayed->supportSize(), rec.state.supportSize());
-    EXPECT_TRUE(std::equal(rec.state.keys().begin(), rec.state.keys().end(),
-                           replayed->keys().begin()));
-    EXPECT_EQ(std::memcmp(replayed->amps().data(), rec.state.amps().data(),
-                          rec.state.amps().size() * sizeof(Complex)),
-              0);
-}
-
-TEST(SparsePlan, ReplayWithNewAnglesMatchesDirect)
-{
-    // The whole point of the cache: the structure is angle-independent,
-    // so a plan recorded at one angle vector replays others exactly.
-    RecordedSegment rec = recordJ1Segment({0.7, 0.4, 1.1, 0.9});
-    ASSERT_TRUE(rec.plan.replayable);
-    std::vector<double> other{1.3, 0.2, 0.8, 0.5};
-    auto replayed = qsim::replaySegmentPlan(rec.plan, other.data());
-    ASSERT_TRUE(replayed.has_value());
-
-    SparseState direct(rec.n,
-                       problems::makeBenchmark("J1").trivialFeasible());
-    for (size_t k = 0; k < other.size(); ++k)
-        direct.applyPairRotation(rec.taus[k].mask(),
-                                 rec.taus[k].patternPlus(), other[k]);
-    ASSERT_EQ(replayed->supportSize(), direct.supportSize());
-    EXPECT_TRUE(std::equal(direct.keys().begin(), direct.keys().end(),
-                           replayed->keys().begin()));
-    EXPECT_EQ(std::memcmp(replayed->amps().data(), direct.amps().data(),
-                          direct.amps().size() * sizeof(Complex)),
-              0);
-}
-
-TEST(SparsePlan, ReplayAbortsWhenAnglesWouldPrune)
-{
-    // pi/2 rotates the source to numerical zero: direct execution
-    // prunes, so replay must refuse and hand back to the kernels.
-    RecordedSegment rec = recordJ1Segment({0.7, 0.4, 1.1, 0.9});
-    ASSERT_TRUE(rec.plan.replayable);
-    std::vector<double> pruning(rec.times.size(), kPi / 2);
-    EXPECT_FALSE(
-        qsim::replaySegmentPlan(rec.plan, pruning.data()).has_value());
-}
-
-TEST(SparsePlan, RecordingUnderPruningMarksPlanUnreplayable)
-{
-    RecordedSegment rec =
-        recordJ1Segment({kPi / 2, kPi / 2, kPi / 2, kPi / 2});
-    EXPECT_FALSE(rec.plan.replayable);
-}
-
-TEST(PlanCache, SolverResultsIdenticalWithCachingOnAndOff)
-{
-    problems::Problem p = problems::makeBenchmark("J1");
-    core::RasenganOptions on;
-    on.cacheRotationPlans = true;
-    core::RasenganOptions off = on;
-    off.cacheRotationPlans = false;
-    core::RasenganSolver cached(p, on);
-    core::RasenganSolver direct(p, off);
-
-    std::vector<double> times(cached.numParams(), 0.6);
-    Rng rng_a(3), rng_b(3);
-    // First call records, second replays: both must equal the uncached
-    // solver's output exactly.
-    for (int round = 0; round < 3; ++round) {
-        for (auto &t : times)
-            t += 0.05 * round;
-        auto a = cached.execute(times, rng_a);
-        auto b = direct.execute(times, rng_b);
-        auto key = [](const std::pair<BitVec, double> &x,
-                      const std::pair<BitVec, double> &y) {
-            return x.first < y.first;
-        };
-        std::sort(a.entries.begin(), a.entries.end(), key);
-        std::sort(b.entries.begin(), b.entries.end(), key);
-        ASSERT_EQ(a.entries.size(), b.entries.size());
-        for (size_t i = 0; i < a.entries.size(); ++i) {
-            EXPECT_EQ(a.entries[i].first, b.entries[i].first);
-            EXPECT_NEAR(a.entries[i].second, b.entries[i].second, 1e-10);
+    // A used state -- rotations that create and prune partners, X
+    // gates, and a prune that empties the support -- reset to b must
+    // then evolve exactly as a fresh SparseState(n, b).
+    Rng rng(57);
+    const int n = 10;
+    SparseState used(n, BitVec::fromIndex(300));
+    for (int trial = 0; trial < 20; ++trial) {
+        for (int k = 0; k < 12; ++k) {
+            TransitionHamiltonian tau(randomTransition(n, rng));
+            // Every fourth angle is pi/2, which rotates sources to
+            // numerical zero and so prunes them.
+            tau.applyTo(used, k % 4 == 0 ? kPi / 2
+                                         : rng.uniformReal(-2.0, 2.0));
+            if (k % 5 == 0)
+                used.applyX(static_cast<int>(rng.uniformInt(0, n - 1)));
         }
-    }
-    EXPECT_GT(cached.planStats().recorded, 0u);
-    EXPECT_GT(cached.planStats().replayed, 0u);
-    EXPECT_EQ(direct.planStats().recorded, 0u);
-    EXPECT_EQ(direct.planStats().replayed, 0u);
-}
+        if (trial % 3 == 0) {
+            // No |amp|^2 reaches 2: this prune empties the support.
+            const size_t before = used.supportSize();
+            EXPECT_EQ(used.prune(2.0), before);
+            ASSERT_EQ(used.supportSize(), 0u);
+        }
 
-TEST(PlanCache, PruningForcedFallbackStillMatchesDirect)
-{
-    problems::Problem p = problems::makeBenchmark("J1");
-    core::RasenganOptions on;
-    on.cacheRotationPlans = true;
-    core::RasenganOptions off = on;
-    off.cacheRotationPlans = false;
-    core::RasenganSolver cached(p, on);
-    core::RasenganSolver direct(p, off);
-
-    // Record healthy plans first, then execute at pi/2 where every
-    // rotation prunes its source: replay must abort (or the recording
-    // itself must have been invalidated) and fall back to the kernels,
-    // still agreeing with the uncached solver.
-    std::vector<double> warm(cached.numParams(), 0.7);
-    Rng rng_w(9);
-    cached.execute(warm, rng_w);
-
-    std::vector<double> pruning(cached.numParams(), kPi / 2);
-    Rng rng_a(9), rng_b(9);
-    auto a = cached.execute(pruning, rng_a);
-    auto b = direct.execute(pruning, rng_b);
-    EXPECT_GT(cached.planStats().aborted + cached.planStats().invalidated,
-              0u);
-    ASSERT_EQ(a.failed, b.failed);
-    auto key = [](const std::pair<BitVec, double> &x,
-                  const std::pair<BitVec, double> &y) {
-        return x.first < y.first;
-    };
-    std::sort(a.entries.begin(), a.entries.end(), key);
-    std::sort(b.entries.begin(), b.entries.end(), key);
-    ASSERT_EQ(a.entries.size(), b.entries.size());
-    for (size_t i = 0; i < a.entries.size(); ++i) {
-        EXPECT_EQ(a.entries[i].first, b.entries[i].first);
-        EXPECT_NEAR(a.entries[i].second, b.entries[i].second, 1e-10);
+        const BitVec b =
+            BitVec::fromIndex(rng.uniformInt(0, (1u << n) - 1));
+        used.reset(b);
+        SparseState fresh(n, b);
+        const std::string where = "trial " + std::to_string(trial);
+        expectSameState(used, fresh, where + " after reset");
+        for (int k = 0; k < 10; ++k) {
+            TransitionHamiltonian tau(randomTransition(n, rng));
+            const double t =
+                k % 3 == 0 ? kPi / 2 : rng.uniformReal(-2.0, 2.0);
+            tau.applyTo(used, t);
+            tau.applyTo(fresh, t);
+            expectSameState(used, fresh,
+                            where + " step " + std::to_string(k));
+        }
     }
 }
 
