@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <optional>
-#include <unordered_set>
 
+#include "common/bitvecset.h"
 #include "common/logging.h"
 #include "core/transition.h"
 #include "linalg/nullspace.h"
@@ -178,17 +177,36 @@ homogeneousBasis(const problems::Problem &problem)
 
 namespace {
 
-/** u_i +/- u_j; nullopt when an entry leaves {-1, 0, 1}. */
-std::optional<linalg::IntVec>
-combine(const linalg::IntVec &a, const linalg::IntVec &b, int sign)
+/**
+ * A signed-0/1 vector as two bit masks: the +1 entries and the -1
+ * entries.  Entries are disjoint by construction.
+ */
+struct SignedMasks
 {
-    linalg::IntVec out(a.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        out[i] = a[i] + sign * b[i];
-        if (out[i] < -1 || out[i] > 1)
-            return std::nullopt;
-    }
-    return out;
+    BitVec plus;
+    BitVec minus;
+
+    int nonZeros() const { return plus.popcount() + minus.popcount(); }
+};
+
+/**
+ * a + b as masks, or false when an entry leaves {-1, 0, 1}: that
+ * happens exactly where both are +1 or both are -1.  Where the signs
+ * differ the entries cancel.
+ */
+bool
+addMasks(const SignedMasks &a, const BitVec &b_plus, const BitVec &b_minus,
+         SignedMasks &out)
+{
+    const BitVec clash = (a.plus & b_plus) | (a.minus & b_minus);
+    if (clash != BitVec{})
+        return false;
+    const BitVec any_plus = a.plus | b_plus;
+    const BitVec any_minus = a.minus | b_minus;
+    const BitVec cancel = any_plus & any_minus;
+    out.plus = any_plus ^ cancel;
+    out.minus = any_minus ^ cancel;
+    return true;
 }
 
 } // namespace
@@ -196,24 +214,53 @@ combine(const linalg::IntVec &a, const linalg::IntVec &b, int sign)
 std::vector<linalg::IntVec>
 simplifyBasis(std::vector<linalg::IntVec> basis, int max_passes)
 {
+    // Precondition: same-length signed-0/1 vectors a BitVec can hold.
+    const size_t n = basis.empty() ? 0 : basis.front().size();
+    fatal_if(n > static_cast<size_t>(kMaxBits),
+             "simplifyBasis: {} entries exceed {}", n, kMaxBits);
+    for (size_t k = 0; k < basis.size(); ++k) {
+        fatal_if(basis[k].size() != n,
+                 "simplifyBasis: vector {} has {} entries, not {}", k,
+                 basis[k].size(), n);
+        fatal_if(!linalg::isSigned01(basis[k]),
+                 "simplifyBasis: vector {} has entries outside {{-1,0,1}}",
+                 k);
+    }
     if (basis.size() < 2)
         return basis;
+    std::vector<SignedMasks> packed(basis.size());
+    for (size_t k = 0; k < basis.size(); ++k) {
+        for (size_t i = 0; i < n; ++i) {
+            if (basis[k][i] == 1)
+                packed[k].plus.set(static_cast<int>(i));
+            else if (basis[k][i] == -1)
+                packed[k].minus.set(static_cast<int>(i));
+        }
+    }
+
+    // Algorithm 1 over the masks: u_i + u_j, then u_i - u_j (the masks
+    // of -u_j swap plus and minus), in the same i/j/sign order as the
+    // entrywise loop, replacing u_i whenever the count strictly drops.
     for (int pass = 0; pass < max_passes; ++pass) {
         bool changed = false;
-        for (size_t i = 0; i < basis.size(); ++i) {
-            for (size_t j = 0; j < basis.size(); ++j) {
+        for (size_t i = 0; i < packed.size(); ++i) {
+            for (size_t j = 0; j < packed.size(); ++j) {
                 if (i == j)
                     continue;
-                int current = linalg::nonZeroCount(basis[i]);
-                for (int sign : {+1, -1}) {
-                    auto cand = combine(basis[i], basis[j], sign);
-                    // Elementary operations keep the basis independent, so
-                    // candidates are never zero; the > 0 check guards the
-                    // invariant anyway.
-                    if (cand && linalg::nonZeroCount(*cand) > 0 &&
-                        linalg::nonZeroCount(*cand) < current) {
-                        basis[i] = std::move(*cand);
-                        current = linalg::nonZeroCount(basis[i]);
+                int current = packed[i].nonZeros();
+                for (bool add : {true, false}) {
+                    const SignedMasks &b = packed[j];
+                    SignedMasks cand;
+                    if (!addMasks(packed[i], add ? b.plus : b.minus,
+                                  add ? b.minus : b.plus, cand))
+                        continue;
+                    // Elementary operations keep the basis independent,
+                    // so candidates are never zero; the > 0 check
+                    // guards the invariant anyway.
+                    const int count = cand.nonZeros();
+                    if (count > 0 && count < current) {
+                        packed[i] = cand;
+                        current = count;
                         changed = true;
                     }
                 }
@@ -222,57 +269,45 @@ simplifyBasis(std::vector<linalg::IntVec> basis, int max_passes)
         if (!changed)
             break;
     }
+
+    for (size_t k = 0; k < basis.size(); ++k) {
+        for (size_t i = 0; i < n; ++i) {
+            const int bit = static_cast<int>(i);
+            basis[k][i] = packed[k].plus.get(bit)    ? 1
+                          : packed[k].minus.get(bit) ? -1
+                                                     : 0;
+        }
+    }
     return basis;
 }
 
 namespace {
 
-using StateSet = std::unordered_set<BitVec, BitVecHash>;
-
 /**
- * Add @p seeds to @p reached and close the set under +/-u moves for
- * every u in @p vectors, expanding from the states that were new.
- * States already in @p reached must have all their partners there.
+ * Close @p reached under +/-u moves for every u in @p vectors, expanding
+ * its items from index @p from on.  Every item before @p from must have
+ * all its partners in @p reached already.
  */
 void
 growClosure(const std::vector<TransitionHamiltonian> &vectors,
-            StateSet &reached, const std::vector<BitVec> &seeds)
+            BitVecSet &reached, size_t from)
 {
-    std::vector<BitVec> frontier;
-    for (const BitVec &x : seeds)
-        if (reached.insert(x).second)
-            frontier.push_back(x);
-    while (!frontier.empty()) {
-        const BitVec x = frontier.back();
-        frontier.pop_back();
+    for (size_t k = from; k < reached.size(); ++k) {
+        const BitVec x = reached[k];
         for (const auto &tau : vectors)
-            if (auto y = tau.partner(x); y && reached.insert(*y).second)
-                frontier.push_back(*y);
+            if (auto y = tau.partner(x))
+                reached.insert(*y);
     }
 }
 
 /** Closure of {start} under +/-u moves for every u in @p vectors. */
-StateSet
+BitVecSet
 reachableClosure(const std::vector<TransitionHamiltonian> &vectors,
                  const BitVec &start)
 {
-    StateSet reached;
-    growClosure(vectors, reached, {start});
+    BitVecSet reached(start);
+    growClosure(vectors, reached, 0);
     return reached;
-}
-
-/** The first @p limit feasible states of @p problem, in DFS order. */
-std::vector<BitVec>
-feasibleUpTo(const problems::Problem &problem, size_t limit)
-{
-    const auto raw = linalg::enumerateBinary(problem.constraints(),
-                                             problem.bounds(), limit);
-    std::vector<BitVec> out(raw.size());
-    for (size_t k = 0; k < raw.size(); ++k)
-        for (size_t i = 0; i < raw[k].size(); ++i)
-            if (raw[k][i])
-                out[k].set(static_cast<int>(i));
-    return out;
 }
 
 } // namespace
@@ -301,7 +336,8 @@ transitionVectors(const problems::Problem &problem, bool simplify,
     // Enumerating one state past the limit decides the size without
     // walking a huge feasible set; within the limit the DFS yields the
     // whole set in feasibleSolutions() order.
-    const auto feasible = feasibleUpTo(problem, max_feasible + 1);
+    const auto feasible = linalg::enumerateBinaryBits(
+        problem.constraints(), problem.bounds(), max_feasible + 1);
     if (feasible.size() > max_feasible)
         return withOriginals();
     if (feasible.size() <= 1)
@@ -310,11 +346,11 @@ transitionVectors(const problems::Problem &problem, bool simplify,
     RASENGAN_PROF("transition", "augment-connectivity");
     const BitVec &start = problem.trivialFeasible();
     auto transitions = makeTransitions(basis);
-    StateSet reached = reachableClosure(transitions, start);
+    BitVecSet reached = reachableClosure(transitions, start);
 
     const int n = problem.numVars();
     for (const BitVec &target : feasible) {
-        if (reached.count(target))
+        if (reached.contains(target))
             continue;
         // Connect the orphaned state directly to the start: the
         // difference of two feasible solutions is a signed-0/1 kernel
@@ -330,21 +366,22 @@ transitionVectors(const problems::Problem &problem, bool simplify,
         // closure before looking at the next target.  It is closed under
         // every older vector: growth can only start at the new vector's
         // partners of reached states.
-        std::vector<BitVec> seeds;
-        for (const BitVec &x : reached)
-            if (auto y = transitions.back().partner(x))
-                seeds.push_back(*y);
-        growClosure(transitions, reached, seeds);
+        const size_t closed = reached.size();
+        for (size_t k = 0; k < closed; ++k)
+            if (auto y = transitions.back().partner(reached[k]))
+                reached.insert(*y);
+        growClosure(transitions, reached, closed);
     }
 
     // Augmentation vectors (raw feasible differences) can have wide
     // supports; run Algorithm 1 once more over the full set and keep the
-    // result only when it preserves the walk's coverage.
+    // result only when it preserves the walk's coverage.  An unchanged
+    // set has the same closure, so it needs no re-check.
     if (simplify && basis.size() > 1) {
         auto candidate = simplifyBasis(basis);
-        auto cand_reached =
-            reachableClosure(makeTransitions(candidate), start);
-        if (cand_reached.size() == reached.size())
+        if (candidate != basis &&
+            reachableClosure(makeTransitions(candidate), start).size() ==
+                reached.size())
             basis = std::move(candidate);
     }
     return basis;

@@ -32,6 +32,12 @@ std::vector<linalg::IntVec> homogeneousBasis(const problems::Problem &problem);
  * (u_i, u_j), try u_i + u_j and u_i - u_j; replace u_i when the candidate
  * stays in {-1,0,1}^n and has strictly fewer nonzeros.
  *
+ * The sweep runs on each vector packed as a (+1 mask, -1 mask) pair of
+ * BitVecs: a combination leaves {-1,0,1} iff the masks of equal sign
+ * overlap, and its nonzero count is a popcount.  Precondition (aborts
+ * otherwise): the vectors have equal length, at most kMaxBits entries,
+ * and entries in {-1, 0, 1}.
+ *
  * @param max_passes repeat the O(m^2 n) sweep until a fixed point or this
  *                   many passes (1 reproduces the paper's single sweep).
  */

@@ -1,20 +1,9 @@
 #include "core/chain.h"
 
+#include "common/bitvecset.h"
 #include "common/logging.h"
 
 namespace rasengan::core {
-
-std::vector<BitVec>
-expandStates(const std::unordered_set<BitVec, BitVecHash> &states,
-             const TransitionHamiltonian &transition)
-{
-    std::vector<BitVec> partners;
-    for (const BitVec &x : states) {
-        if (auto y = transition.partner(x))
-            partners.push_back(*y);
-    }
-    return partners;
-}
 
 Chain
 buildChain(const std::vector<TransitionHamiltonian> &transitions,
@@ -34,13 +23,12 @@ buildChain(const std::vector<TransitionHamiltonian> &transitions,
                            ? options.rounds
                            : (options.earlyStop ? m * m : m);
 
-    // The reachable set R, also kept in insertion order, plus a cursor
-    // per operator: every partner of order[0, scanned[k]) under k is in
-    // R already (R only grows), so step k scans just the newer states.
+    // The reachable set R, in insertion order, plus a cursor per
+    // operator: every partner of R[0, scanned[k]) under k is in R
+    // already (R only grows), so step k scans just the newer states.
     // The partner map is an involution, so the states step k adds have
     // their k-partners in R too and are never rescanned by k.
-    std::unordered_set<BitVec, BitVecHash> reachable{start};
-    std::vector<BitVec> order{start};
+    BitVecSet reachable(start);
     std::vector<size_t> scanned(m, 0);
     int useless_streak = 0;
     bool stopped = false;
@@ -49,14 +37,12 @@ buildChain(const std::vector<TransitionHamiltonian> &transitions,
         for (int k = 0; k < m && !stopped; ++k) {
             chain.unprunedSteps.push_back(k);
 
-            const size_t before = order.size();
-            for (size_t i = scanned[k]; i < before; ++i) {
-                if (auto y = transitions[k].partner(order[i]);
-                    y && reachable.insert(*y).second)
-                    order.push_back(*y);
-            }
-            scanned[k] = order.size();
-            const bool expanded = order.size() > before;
+            const size_t before = reachable.size();
+            for (size_t i = scanned[k]; i < before; ++i)
+                if (auto y = transitions[k].partner(reachable[i]))
+                    reachable.insert(*y);
+            scanned[k] = reachable.size();
+            const bool expanded = reachable.size() > before;
             chain.unprunedCoverage.push_back(reachable.size());
 
             if (expanded || !options.prune) {

@@ -14,7 +14,6 @@
 #ifndef RASENGAN_CORE_CHAIN_H
 #define RASENGAN_CORE_CHAIN_H
 
-#include <unordered_set>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -59,16 +58,6 @@ struct Chain
  */
 Chain buildChain(const std::vector<TransitionHamiltonian> &transitions,
                  const BitVec &start, const ChainOptions &options = {});
-
-/**
- * One full-rescan step of the reachability expansion: all partners of
- * @p states under @p transition (including already-known ones).
- * buildChain scans only states new to each operator; tests replay chains
- * with this as the reference.
- */
-std::vector<BitVec>
-expandStates(const std::unordered_set<BitVec, BitVecHash> &states,
-             const TransitionHamiltonian &transition);
 
 } // namespace rasengan::core
 

@@ -158,6 +158,17 @@ RasenganSolver::evolveSegment(int seg_index, const BitVec &init,
     return sim_;
 }
 
+bool
+RasenganSolver::verifiedFeasible(const BitVec &x) const
+{
+    if (feasibleSeen_.contains(x))
+        return true;
+    if (!problem_.isFeasible(x))
+        return false;
+    feasibleSeen_.insert(x);
+    return true;
+}
+
 circuit::Circuit
 RasenganSolver::lowerSegment(const circuit::Circuit &circ) const
 {
@@ -308,29 +319,42 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
     };
 
     if (exact) {
-        ProbMap dist{{problem_.trivialFeasible(), 1.0}};
+        // Each segment's map is built fresh, by inserting its keys in an
+        // order the snapshot records, so a resumed run rebuilds a map
+        // with the same iteration order and sums every later segment in
+        // the same sequence: checkpoint-resumed runs are bit-exact.
+        ProbMap dist;
         int first_seg = 0;
         if (hooks.resumeFrom != nullptr) {
             const exec::SegmentCheckpoint &cp = *hooks.resumeFrom;
             panic_if(cp.shotBased,
                      "exact execution cannot resume a shot checkpoint");
-            dist.clear();
             for (const auto &[y, p] : cp.probEntries)
                 dist[y] = p;
             first_seg = std::min(cp.nextSegment, num_segments);
             result.prePurifyFeasibleFraction = cp.prePurifyFeasibleFraction;
+        } else {
+            dist[problem_.trivialFeasible()] = 1.0;
         }
+        // `dist`'s keys in insertion order, recorded for snapshots only.
+        std::vector<BitVec> built;
+        const bool snapshots = static_cast<bool>(hooks.onSegmentDone);
         for (int s = first_seg; s < num_segments; ++s) {
             if (cancelTripped())
                 return result;
             ProbMap out;
+            built.clear();
             for (const auto &[state, p] : dist) {
                 const qsim::SparseState &sim =
                     evolveSegment(s, state, times);
                 const std::vector<BitVec> &keys = sim.keys();
                 const auto &amps = sim.amps();
-                for (size_t i = 0; i < keys.size(); ++i)
-                    out[keys[i]] += p * std::norm(amps[i]);
+                for (size_t i = 0; i < keys.size(); ++i) {
+                    auto [it, fresh] = out.try_emplace(keys[i], 0.0);
+                    if (fresh && snapshots)
+                        built.push_back(keys[i]);
+                    it->second += p * std::norm(amps[i]);
+                }
             }
             // Purification (Section 4.3): validate C x = b, drop the rest.
             // The exact path never samples; this span is its analogue of
@@ -342,7 +366,7 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
             std::vector<std::pair<BitVec, double>> feasible;
             for (const auto &[y, p] : out) {
                 total_mass += p;
-                if (problem_.isFeasible(y)) {
+                if (verifiedFeasible(y)) {
                     feasible_mass += p;
                     feasible.emplace_back(y, p);
                 }
@@ -355,18 +379,23 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
                     return result;
                 }
                 ProbMap purified;
-                for (const auto &[y, p] : feasible)
+                built.clear();
+                for (const auto &[y, p] : feasible) {
                     purified[y] = p / feasible_mass;
+                    if (snapshots)
+                        built.push_back(y);
+                }
                 dist = std::move(purified);
             } else {
                 for (auto &[y, p] : out)
                     p /= total_mass;
                 dist = std::move(out);
             }
-            if (hooks.onSegmentDone) {
+            if (snapshots) {
                 exec::SegmentCheckpoint cp = baseSnapshot(s + 1);
-                cp.probEntries.assign(dist.begin(), dist.end());
-                std::sort(cp.probEntries.begin(), cp.probEntries.end());
+                cp.probEntries.reserve(built.size());
+                for (const BitVec &y : built)
+                    cp.probEntries.emplace_back(y, dist.at(y));
                 hooks.onSegmentDone(cp);
             }
             if (wantsStop(s)) {
@@ -493,7 +522,7 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
         uint64_t feasible_shots = 0;
         std::vector<std::pair<BitVec, uint64_t>> feasible;
         for (const auto &[y, cnt] : raw.map()) {
-            if (problem_.isFeasible(y)) {
+            if (verifiedFeasible(y)) {
                 feasible_shots += cnt;
                 feasible.emplace_back(y, cnt);
             }

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "circuit/transpile.h"
+#include "common/bitvecset.h"
 #include "core/chain.h"
 #include "core/segment.h"
 #include "device/device.h"
@@ -349,6 +350,13 @@ class RasenganSolver
     const qsim::SparseState &
     evolveSegment(int seg_index, const BitVec &init,
                   const std::vector<double> &times) const;
+    /**
+     * problem_.isFeasible(@p x), asked of the problem once per distinct
+     * feasible state: a true verdict is cached for the solver's
+     * lifetime, a false one is recomputed (noisy backends produce
+     * infeasible states, and only feasible states recur).
+     */
+    bool verifiedFeasible(const BitVec &x) const;
 
     problems::Problem problem_;
     RasenganOptions options_;
@@ -366,6 +374,8 @@ class RasenganSolver
      */
     mutable qsim::SparseState sim_;
     mutable uint64_t maxObservedSupport_ = 0;
+    /** States verifiedFeasible() has found to satisfy C x = b. */
+    mutable BitVecSet feasibleSeen_;
 };
 
 } // namespace rasengan::core

@@ -28,17 +28,6 @@ TransitionHamiltonian::TransitionHamiltonian(linalg::IntVec u)
     fatal_if(supportSize_ == 0, "transition vector is zero");
 }
 
-std::optional<BitVec>
-TransitionHamiltonian::partner(const BitVec &x) const
-{
-    BitVec restricted = x & mask_;
-    if (restricted == patternPlus_ ||
-        restricted == (patternPlus_ ^ mask_)) {
-        return x ^ mask_;
-    }
-    return std::nullopt;
-}
-
 void
 TransitionHamiltonian::applyTo(qsim::SparseState &state, double t,
                                double prune_threshold) const

@@ -52,7 +52,15 @@ class TransitionHamiltonian
      * H^tau |x>: the partner basis state, or nullopt when |x> is dark.
      * (H^tau maps the partner back to x: Equation 5.)
      */
-    std::optional<BitVec> partner(const BitVec &x) const;
+    std::optional<BitVec>
+    partner(const BitVec &x) const
+    {
+        const BitVec restricted = x & mask_;
+        if (restricted == patternPlus_ ||
+            restricted == (patternPlus_ ^ mask_))
+            return x ^ mask_;
+        return std::nullopt;
+    }
 
     /** True when applying the transition to |x> can produce a new state. */
     bool applicable(const BitVec &x) const { return partner(x).has_value(); }

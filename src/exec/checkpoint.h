@@ -42,7 +42,11 @@ struct SegmentCheckpoint
     double prePurifyFeasibleFraction = 1.0;
     std::string rngState; ///< engine text state; empty for exact
 
-    /** Forwarded distribution (exactly one populated, by shotBased). */
+    /**
+     * Forwarded distribution (exactly one populated, by shotBased).
+     * Entry order is kept: the exact backend lists its states in the
+     * order it inserted them, and resume re-inserts them in that order.
+     */
     std::vector<std::pair<BitVec, uint64_t>> shotEntries;
     std::vector<std::pair<BitVec, double>> probEntries;
 };

@@ -47,8 +47,8 @@ namespace {
 class BinaryDfs
 {
   public:
-    BinaryDfs(const IntMat &c, const IntVec &b, size_t limit)
-        : b_(b), limit_(limit), n_(c.cols()),
+    BinaryDfs(const IntMat &c, const IntVec &b)
+        : b_(b), n_(c.cols()),
           x_(static_cast<size_t>(c.cols()), 0),
           lo_(c.rows(), 0), hi_(c.rows(), 0), acc_(c.rows(), 0),
           entries_(static_cast<size_t>(c.cols()))
@@ -66,16 +66,20 @@ class BinaryDfs
         }
     }
 
-    std::vector<IntVec>
-    run(bool first_only)
+    /**
+     * Call @p visit on each solution in DFS order until it returns
+     * false or @p limit solutions were visited (0 = no limit).
+     */
+    void
+    run(size_t limit, const BinaryVisitor &visit)
     {
-        firstOnly_ = first_only;
+        limit_ = limit;
+        visit_ = &visit;
         bool feasible = true;
         for (size_t r = 0; r < b_.size(); ++r)
             feasible &= rowFeasible(r);
         if (feasible)
             recurse(0);
-        return std::move(found_);
     }
 
   private:
@@ -90,8 +94,8 @@ class BinaryDfs
     recurse(int var)
     {
         if (var == n_) {
-            found_.push_back(x_);
-            if (firstOnly_ || (limit_ && found_.size() >= limit_))
+            ++found_;
+            if (!(*visit_)(x_) || (limit_ && found_ >= limit_))
                 done_ = true;
             return;
         }
@@ -118,15 +122,15 @@ class BinaryDfs
     }
 
     const IntVec &b_;
-    size_t limit_;
     int n_;
     IntVec x_;
     IntVec lo_, hi_;
     IntVec acc_;
     /** Per column: its nonzero (row, coefficient) entries. */
     std::vector<std::vector<std::pair<size_t, int64_t>>> entries_;
-    std::vector<IntVec> found_;
-    bool firstOnly_ = false;
+    size_t limit_ = 0;
+    const BinaryVisitor *visit_ = nullptr;
+    size_t found_ = 0;
     bool done_ = false;
 };
 
@@ -137,21 +141,51 @@ solveBinary(const IntMat &c, const IntVec &b)
 {
     fatal_if(static_cast<int>(b.size()) != c.rows(),
              "solveBinary: b size {} != rows {}", b.size(), c.rows());
-    BinaryDfs dfs(c, b, 1);
-    auto sols = dfs.run(true);
-    if (sols.empty())
-        return std::nullopt;
-    return sols.front();
+    std::optional<IntVec> first;
+    BinaryDfs(c, b).run(1, [&](const IntVec &x) {
+        first = x;
+        return false;
+    });
+    return first;
+}
+
+void
+visitBinary(const IntMat &c, const IntVec &b, size_t limit,
+            const BinaryVisitor &visit)
+{
+    fatal_if(static_cast<int>(b.size()) != c.rows(),
+             "visitBinary: b size {} != rows {}", b.size(), c.rows());
+    RASENGAN_PROF("linalg", "enumerate-binary");
+    BinaryDfs(c, b).run(limit, visit);
 }
 
 std::vector<IntVec>
 enumerateBinary(const IntMat &c, const IntVec &b, size_t limit)
 {
-    fatal_if(static_cast<int>(b.size()) != c.rows(),
-             "enumerateBinary: b size {} != rows {}", b.size(), c.rows());
-    RASENGAN_PROF("linalg", "enumerate-binary");
-    BinaryDfs dfs(c, b, limit);
-    return dfs.run(false);
+    std::vector<IntVec> found;
+    visitBinary(c, b, limit, [&](const IntVec &x) {
+        found.push_back(x);
+        return true;
+    });
+    return found;
+}
+
+std::vector<BitVec>
+enumerateBinaryBits(const IntMat &c, const IntVec &b, size_t limit)
+{
+    fatal_if(c.cols() > kMaxBits,
+             "enumerateBinaryBits: {} columns exceed a BitVec's {}",
+             c.cols(), kMaxBits);
+    std::vector<BitVec> found;
+    visitBinary(c, b, limit, [&](const IntVec &x) {
+        BitVec bits;
+        for (size_t i = 0; i < x.size(); ++i)
+            if (x[i])
+                bits.set(static_cast<int>(i));
+        found.push_back(bits);
+        return true;
+    });
+    return found;
 }
 
 bool

@@ -7,9 +7,11 @@
 #ifndef RASENGAN_LINALG_SOLVE_H
 #define RASENGAN_LINALG_SOLVE_H
 
+#include <functional>
 #include <optional>
 #include <vector>
 
+#include "common/bitvec.h"
 #include "linalg/matrix.h"
 
 namespace rasengan::linalg {
@@ -31,12 +33,29 @@ std::optional<std::vector<Rational>> solveParticular(const IntMat &c,
  */
 std::optional<IntVec> solveBinary(const IntMat &c, const IntVec &b);
 
+/** Receives one binary solution; returns false to stop the search. */
+using BinaryVisitor = std::function<bool(const IntVec &)>;
+
 /**
- * Enumerate all binary solutions of C x = b, up to @p limit (0 = no limit).
- * Uses the same pruned DFS as solveBinary.
+ * The one binary enumerator: call @p visit on each binary solution of
+ * C x = b in the DFS order of solveBinary, until it returns false or
+ * @p limit solutions were visited (0 = no limit).  The vector passed to
+ * @p visit is the search's own assignment, valid during the call only.
  */
+void visitBinary(const IntMat &c, const IntVec &b, size_t limit,
+                 const BinaryVisitor &visit);
+
+/** The first @p limit (0 = all) solutions of visitBinary, as vectors. */
 std::vector<IntVec> enumerateBinary(const IntMat &c, const IntVec &b,
                                     size_t limit = 0);
+
+/**
+ * The first @p limit (0 = all) solutions of visitBinary, entry i -> bit
+ * i, without an intermediate vector per solution.  At most kMaxBits
+ * columns.
+ */
+std::vector<BitVec> enumerateBinaryBits(const IntMat &c, const IntVec &b,
+                                        size_t limit = 0);
 
 /** True iff C x = b for the binary/integer vector @p x. */
 bool satisfies(const IntMat &c, const IntVec &b, const IntVec &x);

@@ -88,14 +88,7 @@ Problem::feasibleSolutions() const
         fatal_if(!enumerable_,
                  "{}: feasible-set enumeration disabled for this instance",
                  id_);
-        auto raw = linalg::enumerateBinary(constraints_, bvec_);
-        std::vector<BitVec> out;
-        out.reserve(raw.size());
-        for (const auto &x : raw) {
-            std::vector<int> bits(x.begin(), x.end());
-            out.push_back(BitVec::fromVector(bits));
-        }
-        feasibleCache_ = std::move(out);
+        feasibleCache_ = linalg::enumerateBinaryBits(constraints_, bvec_);
     }
     return *feasibleCache_;
 }

@@ -3,14 +3,18 @@
  * Tests for homogeneous-basis extraction and Algorithm 1 (Hamiltonian
  * simplification): kernel membership, span preservation, nonzero-count
  * reduction (the Figure 5 example), and the simplification invariants
- * across the whole benchmark suite.
+ * across the whole benchmark suite.  The bit-packed Algorithm 1 is
+ * checked against the entrywise reference loop.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/basis.h"
+#include "core_reference.h"
 #include "linalg/nullspace.h"
 #include "linalg/rref.h"
+#include "problems/io.h"
 #include "problems/suite.h"
 
 namespace rasengan::core {
@@ -141,6 +145,78 @@ TEST(Basis, FixedPointIsStable)
     auto once = simplifyBasis(basis);
     auto twice = simplifyBasis(once);
     EXPECT_EQ(once, twice);
+}
+
+// ---- Packed Algorithm 1 against the entrywise reference -------------------
+
+TEST(BasisReference, PackedSimplifyMatchesReferenceOnRandomBases)
+{
+    // Dense random signed-0/1 vectors, so many combinations hit +/-2 and
+    // are rejected; lengths cross the BitVec word boundary.  Random sets
+    // can be dependent, which exercises the zero-candidate guard too.
+    const int lengths[] = {3, 8, 63, 64, 65, 100, 128};
+    Rng rng(2025);
+    int rejected = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        const int n = lengths[trial % 7];
+        const int m = static_cast<int>(rng.uniformInt(2, 10));
+        const double density = rng.uniformReal(0.2, 0.9);
+        std::vector<linalg::IntVec> basis(m, linalg::IntVec(n, 0));
+        for (auto &u : basis) {
+            for (auto &e : u)
+                if (rng.bernoulli(density))
+                    e = rng.bernoulli(0.5) ? 1 : -1;
+            u[rng.uniformInt(0, n - 1)] = 1; // never the zero vector
+        }
+        for (size_t i = 0; i < basis.size(); ++i)
+            for (size_t j = 0; j < basis.size(); ++j)
+                for (int sign : {+1, -1})
+                    rejected += i != j && !reference::combine(
+                                              basis[i], basis[j], sign);
+        for (int passes : {1, 8}) {
+            EXPECT_EQ(simplifyBasis(basis, passes),
+                      reference::simplifyBasis(basis, passes))
+                << "trial " << trial << " n " << n << " passes " << passes;
+        }
+    }
+    EXPECT_GT(rejected, 1000);
+}
+
+TEST(BasisReference, PackedSimplifyMatchesReferenceOnSuiteBases)
+{
+    // Both simplification inputs transitionVectors has: the homogeneous
+    // basis, and a basis with augmentation vectors appended.
+    for (const std::string &id : problems::benchmarkIds()) {
+        problems::Problem p = problems::makeBenchmark(id);
+        for (const auto &basis :
+             {homogeneousBasis(p), transitionVectors(p, false)}) {
+            EXPECT_EQ(simplifyBasis(basis), reference::simplifyBasis(basis))
+                << id;
+        }
+    }
+}
+
+TEST(BasisReference, PackedSimplifyMatchesReferenceOnLargeFlpBases)
+{
+    // The 27-60 variable FLP instances, parsed from text as requests
+    // carry them, so they enumerate and augment.
+    for (int vars : {27, 33, 44, 52, 60}) {
+        auto parsed = problems::parseProblem(
+            problems::writeProblem(problems::makeScalabilityFlp(vars)));
+        ASSERT_TRUE(parsed.problem.has_value()) << parsed.error;
+        const problems::Problem &p = *parsed.problem;
+        for (const auto &basis :
+             {homogeneousBasis(p), transitionVectors(p, false)}) {
+            EXPECT_EQ(simplifyBasis(basis), reference::simplifyBasis(basis))
+                << p.id();
+        }
+    }
+}
+
+TEST(BasisReference, PackedSimplifyRejectsNonSigned01Input)
+{
+    EXPECT_DEATH(simplifyBasis({{1, 2, 0}, {1, -1, 0}}), "outside");
+    EXPECT_DEATH(simplifyBasis({{1, -1, 0}, {1, -1}}), "entries");
 }
 
 } // namespace

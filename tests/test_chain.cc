@@ -12,9 +12,9 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 #include "common/rng.h"
+#include "core_reference.h"
 #include "core/basis.h"
 #include "core/chain.h"
 #include "problems/builder.h"
@@ -29,9 +29,10 @@ std::set<BitVec>
 replay(const std::vector<TransitionHamiltonian> &transitions,
        const Chain &chain, const BitVec &start)
 {
-    std::unordered_set<BitVec, BitVecHash> reachable{start};
+    reference::StateSet reachable{start};
     for (int k : chain.steps) {
-        for (const BitVec &y : expandStates(reachable, transitions[k]))
+        for (const BitVec &y :
+             reference::expandStates(reachable, transitions[k]))
             reachable.insert(y);
     }
     return {reachable.begin(), reachable.end()};
@@ -214,125 +215,16 @@ TEST(Chain, MaxChainLengthBoundsSteps)
 TEST(Chain, ExpandStatesFindsPartners)
 {
     TransitionHamiltonian tau({1, -1});
-    std::unordered_set<BitVec, BitVecHash> states{
+    reference::StateSet states{
         BitVec::fromString("01"), // partner: "10"
         BitVec::fromString("00"), // dark
     };
-    auto partners = expandStates(states, tau);
+    auto partners = reference::expandStates(states, tau);
     ASSERT_EQ(partners.size(), 1u);
     EXPECT_EQ(partners[0], BitVec::fromString("10"));
 }
 
 // ---- Differential tests against slow references --------------------------
-
-/** The full-rescan sweep: every step expands the whole reachable set. */
-Chain
-referenceChain(const std::vector<TransitionHamiltonian> &transitions,
-               const BitVec &start, const ChainOptions &options)
-{
-    Chain chain;
-    const int m = static_cast<int>(transitions.size());
-    if (m == 0) {
-        chain.reachableCount = 1;
-        return chain;
-    }
-    const int rounds = options.rounds > 0
-                           ? options.rounds
-                           : (options.earlyStop ? m * m : m);
-    std::unordered_set<BitVec, BitVecHash> reachable{start};
-    int useless_streak = 0;
-    bool stopped = false;
-    for (int round = 0; round < rounds && !stopped; ++round) {
-        for (int k = 0; k < m && !stopped; ++k) {
-            chain.unprunedSteps.push_back(k);
-            bool expanded = false;
-            for (const BitVec &y : expandStates(reachable, transitions[k]))
-                expanded |= reachable.insert(y).second;
-            chain.unprunedCoverage.push_back(reachable.size());
-            if (expanded || !options.prune) {
-                chain.steps.push_back(k);
-                chain.coverage.push_back(reachable.size());
-            }
-            if (reachable.size() > options.maxTrackedStates) {
-                chain.capped = true;
-                stopped = true;
-            }
-            if (chain.steps.size() >= options.maxChainLength)
-                stopped = true;
-            useless_streak = expanded ? 0 : useless_streak + 1;
-            if (options.earlyStop && useless_streak >= m)
-                stopped = true;
-        }
-    }
-    chain.reachableCount = reachable.size();
-    return chain;
-}
-
-/** Closure of {start} under every vector, recomputed from nothing. */
-std::unordered_set<BitVec, BitVecHash>
-closureFromScratch(const std::vector<TransitionHamiltonian> &vectors,
-                   const BitVec &start)
-{
-    std::unordered_set<BitVec, BitVecHash> reached{start};
-    std::vector<BitVec> frontier{start};
-    while (!frontier.empty()) {
-        std::vector<BitVec> next;
-        for (const BitVec &x : frontier)
-            for (const auto &tau : vectors)
-                if (auto y = tau.partner(x); y && reached.insert(*y).second)
-                    next.push_back(*y);
-        frontier = std::move(next);
-    }
-    return reached;
-}
-
-/**
- * transitionVectors with a from-scratch closure after every appended
- * augmentation vector.
- */
-std::vector<linalg::IntVec>
-referenceTransitionVectors(const problems::Problem &problem, bool simplify,
-                           size_t max_feasible)
-{
-    auto basis = homogeneousBasis(problem);
-    if (simplify)
-        basis = simplifyBasis(basis);
-    const auto *feasible = problem.enumerationEnabled()
-                               ? &problem.feasibleSolutions()
-                               : nullptr;
-    if (!feasible || feasible->size() > max_feasible) {
-        if (simplify) {
-            for (auto &u : homogeneousBasis(problem))
-                if (std::find(basis.begin(), basis.end(), u) == basis.end())
-                    basis.push_back(std::move(u));
-        }
-        return basis;
-    }
-    if (feasible->size() <= 1)
-        return basis;
-
-    const BitVec &start = problem.trivialFeasible();
-    auto transitions = makeTransitions(basis);
-    auto reached = closureFromScratch(transitions, start);
-    const int n = problem.numVars();
-    for (const BitVec &target : *feasible) {
-        if (reached.count(target))
-            continue;
-        linalg::IntVec u(n);
-        for (int i = 0; i < n; ++i)
-            u[i] = (target.get(i) ? 1 : 0) - (start.get(i) ? 1 : 0);
-        basis.push_back(u);
-        transitions.emplace_back(basis.back());
-        reached = closureFromScratch(transitions, start);
-    }
-    if (simplify && basis.size() > 1) {
-        auto candidate = simplifyBasis(basis);
-        if (closureFromScratch(makeTransitions(candidate), start).size() ==
-            reached.size())
-            basis = std::move(candidate);
-    }
-    return basis;
-}
 
 /**
  * A small random instance from equalities and slack-compiled
@@ -373,64 +265,17 @@ randomBuilderProblem(uint64_t seed)
     return builder.build(x0);
 }
 
-/** Named chain-option variants covering every stopping rule. */
-std::vector<std::pair<std::string, ChainOptions>>
-chainVariants()
-{
-    std::vector<std::pair<std::string, ChainOptions>> out;
-    out.emplace_back("default", ChainOptions{});
-    ChainOptions no_prune;
-    no_prune.prune = false;
-    out.emplace_back("no-prune", no_prune);
-    ChainOptions tu_bound = no_prune;
-    tu_bound.earlyStop = false;
-    out.emplace_back("no-prune-no-stop", tu_bound);
-    ChainOptions two_rounds;
-    two_rounds.rounds = 2;
-    out.emplace_back("rounds-2", two_rounds);
-    ChainOptions capped;
-    capped.maxTrackedStates = 5;
-    out.emplace_back("capped", capped);
-    ChainOptions short_chain;
-    short_chain.prune = false;
-    short_chain.maxChainLength = 3;
-    out.emplace_back("max-length-3", short_chain);
-    return out;
-}
-
-void
-expectSameChain(const Chain &got, const Chain &want, const std::string &what)
-{
-    EXPECT_EQ(got.steps, want.steps) << what;
-    EXPECT_EQ(got.coverage, want.coverage) << what;
-    EXPECT_EQ(got.unprunedSteps, want.unprunedSteps) << what;
-    EXPECT_EQ(got.unprunedCoverage, want.unprunedCoverage) << what;
-    EXPECT_EQ(got.reachableCount, want.reachableCount) << what;
-    EXPECT_EQ(got.capped, want.capped) << what;
-}
-
-void
-expectChainMatchesReference(const std::vector<linalg::IntVec> &vectors,
-                            const BitVec &start, const std::string &what)
-{
-    auto transitions = makeTransitions(vectors);
-    for (const auto &[name, opts] : chainVariants()) {
-        expectSameChain(buildChain(transitions, start, opts),
-                        referenceChain(transitions, start, opts),
-                        what + " " + name);
-    }
-}
-
 TEST(ChainReference, SuiteChainsMatchFullRescan)
 {
     for (const std::string &id : problems::benchmarkIds()) {
         problems::Problem p = problems::makeBenchmark(id);
-        expectChainMatchesReference(transitionVectors(p),
-                                    p.trivialFeasible(), id);
+        reference::expectChainMatchesReference(transitionVectors(p),
+                                               p.trivialFeasible(), id);
         // The bare simplified basis leaves states unreachable on some
         // encodings: the sweep must agree on partial coverage too.
-        expectChainMatchesReference(simplifyBasis(homogeneousBasis(p)),
-                                    p.trivialFeasible(), id + " bare");
+        reference::expectChainMatchesReference(
+            simplifyBasis(homogeneousBasis(p)), p.trivialFeasible(),
+            id + " bare");
     }
 }
 
@@ -438,10 +283,10 @@ TEST(ChainReference, RandomBuilderChainsMatchFullRescan)
 {
     for (uint64_t seed = 1; seed <= 40; ++seed) {
         problems::Problem p = randomBuilderProblem(seed);
-        expectChainMatchesReference(transitionVectors(p),
-                                    p.trivialFeasible(), p.id());
-        expectChainMatchesReference(homogeneousBasis(p),
-                                    p.trivialFeasible(), p.id() + " bare");
+        reference::expectChainMatchesReference(transitionVectors(p),
+                                               p.trivialFeasible(), p.id());
+        reference::expectChainMatchesReference(
+            homogeneousBasis(p), p.trivialFeasible(), p.id() + " bare");
     }
 }
 
@@ -451,7 +296,7 @@ TEST(ChainReference, SuiteTransitionVectorsMatchScratchClosure)
         problems::Problem p = problems::makeBenchmark(id);
         for (bool simplify : {true, false}) {
             EXPECT_EQ(transitionVectors(p, simplify),
-                      referenceTransitionVectors(p, simplify, size_t{1} << 18))
+                      reference::transitionVectors(p, simplify))
                 << id << " simplify=" << simplify;
         }
     }
@@ -463,7 +308,7 @@ TEST(ChainReference, RandomBuilderTransitionVectorsMatchScratchClosure)
         problems::Problem p = randomBuilderProblem(seed);
         for (bool simplify : {true, false}) {
             EXPECT_EQ(transitionVectors(p, simplify),
-                      referenceTransitionVectors(p, simplify, size_t{1} << 18))
+                      reference::transitionVectors(p, simplify))
                 << p.id() << " simplify=" << simplify;
         }
     }
@@ -477,7 +322,7 @@ TEST(ChainReference, ScalabilityTransitionVectorsMatchReference)
         problems::Problem p = problems::makeScalabilityFlp(vars);
         for (bool simplify : {true, false}) {
             EXPECT_EQ(transitionVectors(p, simplify),
-                      referenceTransitionVectors(p, simplify, size_t{1} << 18))
+                      reference::transitionVectors(p, simplify))
                 << p.id() << " simplify=" << simplify;
         }
     }
@@ -506,7 +351,7 @@ TEST(ChainReference, OverLimitParsedFlpKeepsOriginalVectors)
     };
     EXPECT_GE(reached(p, limit), reached(lib, limit));
     EXPECT_EQ(transitionVectors(p, true, limit),
-              referenceTransitionVectors(p, true, limit));
+              reference::transitionVectors(p, true, limit));
 }
 
 } // namespace

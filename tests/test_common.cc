@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/bitvec.h"
+#include "common/bitvecset.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -43,6 +44,39 @@ TEST(BitVec, SetClearFlipAssign)
     EXPECT_TRUE(v.get(64));
     v.assign(64, false);
     EXPECT_FALSE(v.get(64));
+}
+
+TEST(BitVecSet, KeepsInsertionOrderAcrossGrowth)
+{
+    // Thousands of states force several table doublings; the zero
+    // vector and high-word states are ordinary members.
+    Rng rng(17);
+    BitVecSet set;
+    std::vector<BitVec> order;
+    std::set<BitVec> seen;
+    for (int k = 0; k < 5000; ++k) {
+        BitVec x;
+        if (k > 0)
+            x.set(static_cast<int>(rng.uniformInt(0, kMaxBits - 1)));
+        if (rng.bernoulli(0.5))
+            x.set(static_cast<int>(rng.uniformInt(0, 11)));
+        const bool fresh = seen.insert(x).second;
+        EXPECT_EQ(set.insert(x), fresh) << k;
+        if (fresh)
+            order.push_back(x);
+    }
+    ASSERT_EQ(set.size(), order.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(set[i], order[i]) << i;
+        EXPECT_TRUE(set.contains(order[i])) << i;
+    }
+    BitVec absent;
+    absent.set(3);
+    absent.set(70);
+    absent.set(100);
+    EXPECT_EQ(set.contains(absent), seen.count(absent) == 1);
+    EXPECT_FALSE(BitVecSet().contains(BitVec{}));
+    EXPECT_TRUE(BitVecSet(BitVec{}).contains(BitVec{}));
 }
 
 TEST(BitVec, HighWordIndependentOfLowWord)

@@ -216,6 +216,63 @@ TEST(Solve, EnumerateRespectsLimit)
     EXPECT_EQ(sols.size(), 2u);
 }
 
+/** Solutions as bit vectors, entry i -> bit i. */
+std::vector<BitVec>
+asBits(const std::vector<IntVec> &sols)
+{
+    std::vector<BitVec> out;
+    for (const IntVec &x : sols) {
+        BitVec bits;
+        for (size_t i = 0; i < x.size(); ++i)
+            if (x[i])
+                bits.set(static_cast<int>(i));
+        out.push_back(bits);
+    }
+    return out;
+}
+
+TEST(Solve, BitEnumeratorMatchesVectorEnumerator)
+{
+    // enumerateBinaryBits and a visitor that stops itself yield the
+    // vector enumerator's sequence, also under the "limit + 1" cut that
+    // decides whether a feasible set exceeds a bound.  Pairs of
+    // variables summing to 1, over up to 100 columns, cross the BitVec
+    // word boundary; the solution count is 2^pairs.
+    Rng rng(0xb17u);
+    for (int trial = 0; trial < 40; ++trial) {
+        const int pairs = static_cast<int>(rng.uniformInt(1, 50));
+        const int n = 2 * pairs;
+        IntMat c(pairs, n);
+        IntVec b(pairs, 1);
+        for (int r = 0; r < pairs; ++r) {
+            const int64_t sign = rng.bernoulli(0.5) ? 1 : -1;
+            c.at(r, 2 * r) = sign;
+            c.at(r, 2 * r + 1) = sign;
+            b[r] = sign;
+        }
+        const size_t cut = static_cast<size_t>(rng.uniformInt(1, 40));
+        for (size_t limit : {cut, cut + 1}) {
+            const auto want = enumerateBinary(c, b, limit);
+            EXPECT_EQ(enumerateBinaryBits(c, b, limit), asBits(want))
+                << "trial " << trial << " limit " << limit;
+
+            std::vector<IntVec> visited;
+            visitBinary(c, b, 0, [&](const IntVec &x) {
+                visited.push_back(x);
+                return visited.size() < limit;
+            });
+            EXPECT_EQ(visited, want) << "trial " << trial;
+        }
+        if (pairs <= 6) {
+            const auto all = enumerateBinary(c, b);
+            EXPECT_EQ(all.size(), size_t{1} << pairs);
+            EXPECT_EQ(enumerateBinaryBits(c, b), asBits(all));
+            EXPECT_EQ(enumerateBinaryBits(c, b, all.size() + 1),
+                      asBits(all));
+        }
+    }
+}
+
 /**
  * Every binary solution of C x = b in the DFS order: lexicographic with
  * x_0 as the most significant digit, cut at @p limit (0 = no limit).

@@ -24,6 +24,7 @@
 #include "core/basis.h"
 #include "core/chain.h"
 #include "core/rasengan.h"
+#include "core_reference.h"
 #include "device/latency.h"
 #include "device/routing.h"
 #include "linalg/solve.h"
@@ -243,15 +244,19 @@ TEST_P(PropertySweep, NoiseFreePurifiedOutputIsFeasible)
     f.addConstant(1.0);
     problems::Problem p("planted-purify", "RAND", sys.c, sys.b, f, sys.x0);
 
+    // The third case injects backend faults: corrupted histograms are
+    // caught and retried, so the output stays feasible.
     using Execution = core::RasenganOptions::Execution;
-    for (Execution execution :
-         {Execution::ExactSparse, Execution::SampledSparse}) {
+    for (int run = 0; run < 3; ++run) {
         core::RasenganOptions options;
         options.maxIterations = 20;
         options.seed = GetParam();
-        options.execution = execution;
+        options.execution =
+            run == 0 ? Execution::ExactSparse : Execution::SampledSparse;
+        if (run == 2)
+            options.resilience.faults.rate = 0.2;
         core::RasenganResult res = core::RasenganSolver(p, options).run();
-        ASSERT_FALSE(res.failed) << "seed " << GetParam();
+        ASSERT_FALSE(res.failed) << "seed " << GetParam() << " run " << run;
         ASSERT_FALSE(res.finalDistribution.entries.empty());
         for (const auto &[x, prob] : res.finalDistribution.entries) {
             EXPECT_TRUE(p.isFeasible(x))
@@ -300,6 +305,25 @@ randomSlackProblem(Rng &rng, const std::string &id)
     return builder.build(x0);
 }
 
+TEST_P(PropertySweep, TransitionSetMatchesReference)
+{
+    // The flat-set closures, the packed Algorithm 1 and the skipped
+    // re-check of an unchanged basis against the entrywise, hash-set
+    // references: the transition vectors and every chain variant over
+    // them, on a planted system and a system with binary slack.
+    const int n = static_cast<int>(rng.uniformInt(5, 10));
+    const int rows = static_cast<int>(rng.uniformInt(1, 4));
+    PlantedSystem sys = plantSystem(rng, n, rows);
+    problems::QuadraticObjective f(n);
+    problems::Problem planted("planted-ref", "RAND", sys.c, sys.b, f,
+                              sys.x0);
+    const std::string where = "seed " + std::to_string(GetParam());
+    core::reference::expectTransitionSetMatchesReference(
+        planted, where + " planted");
+    core::reference::expectTransitionSetMatchesReference(
+        randomSlackProblem(rng, "builder-ref"), where + " slack");
+}
+
 TEST_P(PropertySweep, SparseMatchesDenseOnSlackSystems)
 {
     // A system with binary slack: its transition chain, applied from the
@@ -337,11 +361,13 @@ TEST_P(PropertySweep, SparseMatchesDenseOnSlackSystems)
 
 TEST_P(PropertySweep, WarmSolverMatchesFreshSolver)
 {
-    // A solver evolves every segment in one reused state.  Warmed by
-    // executing other angle vectors -- random ones, and all-pi/2 ones
-    // whose rotations prune their sources -- it must return the bytes
-    // a fresh solver returns.  Instances: a planted system, and a
-    // ProblemBuilder system whose <=/>= rows add binary slack.
+    // A solver evolves every segment in one reused state and caches
+    // the states it has verified feasible.  Warmed by executing other
+    // angle vectors -- random ones, and all-pi/2 ones whose rotations
+    // prune their sources -- it must return the bytes a fresh solver
+    // returns.  NoisyInjected feeds purification infeasible states.
+    // Instances: a planted system, and a ProblemBuilder system whose
+    // <=/>= rows add binary slack.
     const int n = 7;
     PlantedSystem sys = plantSystem(rng, n, 2);
     problems::QuadraticObjective f(n);
@@ -355,9 +381,12 @@ TEST_P(PropertySweep, WarmSolverMatchesFreshSolver)
     using Execution = core::RasenganOptions::Execution;
     for (const problems::Problem &p : instances) {
         for (Execution execution :
-             {Execution::ExactSparse, Execution::SampledSparse}) {
+             {Execution::ExactSparse, Execution::SampledSparse,
+              Execution::NoisyInjected}) {
             core::RasenganOptions options;
             options.execution = execution;
+            if (execution == Execution::NoisyInjected)
+                options.noise.depol2q = 0.05;
             options.transitionsPerSegment = 2;
             options.pipeline = std::make_shared<core::PipelineArtifacts>(
                 core::buildPipelineArtifacts(p, options));

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -164,6 +165,70 @@ TEST(CheckpointResume, KilledExecutionResumesBitExactly)
     ASSERT_FALSE(got.failed);
     EXPECT_FALSE(got.aborted);
     EXPECT_EQ(sorted(got.entries), sorted(want.entries));
+}
+
+TEST(CheckpointResume, ExactKilledExecutionResumesBitExactly)
+{
+    // Exact forwarding sums each segment's output in the order of the
+    // previous segment's map, so a resumed run must rebuild that map
+    // in the order it was built, or later sums round differently.
+    // Every suite benchmark with three or more segments, killed early,
+    // midway and before the last segment, with purification on and off.
+    int resumed = 0;
+    for (const std::string &id : problems::benchmarkIds()) {
+        problems::Problem p = problems::makeBenchmark(id);
+        for (bool purify : {true, false}) {
+            RasenganOptions opts = segmentedOptions();
+            opts.execution = RasenganOptions::Execution::ExactSparse;
+            opts.purify = purify;
+            RasenganSolver solver(p, opts);
+            const int segments = static_cast<int>(solver.segments().size());
+            if (segments < 3)
+                continue;
+            std::vector<double> times(solver.numParams());
+            for (size_t k = 0; k < times.size(); ++k)
+                times[k] = 0.3 + 0.17 * static_cast<double>(k % 5);
+            Rng rng(1);
+            const RasenganDistribution want = solver.execute(times, rng);
+            ASSERT_FALSE(want.failed) << id;
+
+            for (int stop : {0, segments / 2, segments - 2}) {
+                const std::string where = id + " purify " +
+                                          std::to_string(purify) +
+                                          " stop " + std::to_string(stop);
+                std::vector<exec::SegmentCheckpoint> saved;
+                ExecHooks kill;
+                kill.onSegmentDone = [&](const exec::SegmentCheckpoint &cp) {
+                    saved.push_back(cp);
+                };
+                kill.stopAfterSegment = stop;
+                ASSERT_TRUE(solver.execute(times, rng, kill).aborted)
+                    << where;
+                ASSERT_EQ(saved.back().nextSegment, stop + 1) << where;
+
+                auto reparsed = exec::parseCheckpoint(
+                    exec::writeCheckpoint(saved.back()));
+                ASSERT_TRUE(reparsed.ok()) << where;
+                ExecHooks resume;
+                resume.resumeFrom = &reparsed.value();
+                const RasenganDistribution got =
+                    solver.execute(times, rng, resume);
+                ASSERT_FALSE(got.failed) << where;
+                ASSERT_EQ(got.entries.size(), want.entries.size()) << where;
+                for (size_t i = 0; i < want.entries.size(); ++i) {
+                    ASSERT_EQ(got.entries[i].first, want.entries[i].first)
+                        << where;
+                    ASSERT_EQ(std::memcmp(&got.entries[i].second,
+                                          &want.entries[i].second,
+                                          sizeof(double)),
+                              0)
+                        << where << " entry " << i;
+                }
+                ++resumed;
+            }
+        }
+    }
+    EXPECT_GT(resumed, 20);
 }
 
 TEST(CheckpointResume, RunResumesFromCheckpointFile)
