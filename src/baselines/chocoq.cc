@@ -161,20 +161,11 @@ Chocoq::run()
     res.circuitDepth = optimized.depth();
     res.circuitCx = optimized.countCx();
 
-    auto sampled = harness_.sample(
-        "chocoq-final", options_.shots, problem_.numVars(),
-        options_.seed + 1, attempt_s, [&](Rng &job_rng, uint64_t shots) {
+    res.counts = harness_.sampleFinal(
+        "chocoq-final", options_.shots, problem_.numVars(), options_.seed + 1,
+        attempt_s, [&](Rng &job_rng, uint64_t shots) {
             return sampleFinal(res.training.x, job_rng, shots);
         });
-    if (sampled.ok()) {
-        res.counts = std::move(sampled.value());
-    } else {
-        warn("Choco-Q final sampling failed ({}); using the clean "
-             "simulator",
-             sampled.error().toString());
-        Rng sample_rng(options_.seed + 1);
-        res.counts = sampleFinal(res.training.x, sample_rng, options_.shots);
-    }
     finalizeMetrics(problem_, lambda_, res);
     harness_.finalize(res);
 

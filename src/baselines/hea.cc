@@ -140,19 +140,11 @@ Hea::run()
     res.circuitDepth = circ.depth();
     res.circuitCx = circ.countCx();
 
-    auto sampled = harness_.sample(
-        "hea-final", options_.shots, problem_.numVars(),
-        options_.seed + 1, attempt_s, [&](Rng &job_rng, uint64_t shots) {
+    res.counts = harness_.sampleFinal(
+        "hea-final", options_.shots, problem_.numVars(), options_.seed + 1,
+        attempt_s, [&](Rng &job_rng, uint64_t shots) {
             return sampleFinal(res.training.x, job_rng, shots);
         });
-    if (sampled.ok()) {
-        res.counts = std::move(sampled.value());
-    } else {
-        warn("HEA final sampling failed ({}); using the clean simulator",
-             sampled.error().toString());
-        Rng sample_rng(options_.seed + 1);
-        res.counts = sampleFinal(res.training.x, sample_rng, options_.shots);
-    }
     finalizeMetrics(problem_, lambda_, res);
     harness_.finalize(res);
 

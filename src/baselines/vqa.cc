@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "problems/metrics.h"
 
 namespace rasengan::baselines {
@@ -21,7 +22,7 @@ VqaExecHarness::sample(const std::string &tag, uint64_t nominalShots,
                        int numBits, uint64_t rngSeed, double attemptSeconds,
                        const std::function<qsim::Counts(Rng &, uint64_t)> &fn)
 {
-    for (;;) {
+    return executor_.runDegrading([&] {
         const uint64_t shots =
             std::max<uint64_t>(1, executor_.degradedShots(nominalShots));
         exec::ShotJob job;
@@ -31,31 +32,38 @@ VqaExecHarness::sample(const std::string &tag, uint64_t nominalShots,
         job.rngSeed = rngSeed;
         job.attemptSeconds = attemptSeconds;
         job.sample = [&fn, shots](Rng &rng) { return fn(rng, shots); };
-        auto attempt = executor_.run(job);
-        if (attempt.ok())
-            return attempt;
-        if (!executor_.canDemote())
-            return attempt;
-        executor_.demote(attempt.error().toString());
-    }
+        return executor_.run(job);
+    });
+}
+
+qsim::Counts
+VqaExecHarness::sampleFinal(
+    const std::string &tag, uint64_t shots, int numBits, uint64_t rngSeed,
+    double attemptSeconds,
+    const std::function<qsim::Counts(Rng &, uint64_t)> &fn)
+{
+    auto sampled =
+        sample(tag, shots, numBits, rngSeed, attemptSeconds, fn);
+    if (sampled.ok())
+        return std::move(sampled.value());
+    if (sampled.error().stopped())
+        return {};
+    warn("{} sampling failed ({}); using the clean simulator", tag,
+         sampled.error().toString());
+    Rng rng(rngSeed);
+    return fn(rng, shots);
 }
 
 exec::Expected<double>
 VqaExecHarness::expectation(const std::string &tag, double attemptSeconds,
                             const std::function<double()> &fn)
 {
-    for (;;) {
-        exec::ValueJob job;
-        job.tag = tag;
-        job.evaluate = fn;
-        job.attemptSeconds = attemptSeconds;
-        auto attempt = executor_.expectation(job);
-        if (attempt.ok())
-            return attempt;
-        if (!executor_.canDemote())
-            return attempt;
-        executor_.demote(attempt.error().toString());
-    }
+    exec::ValueJob job;
+    job.tag = tag;
+    job.evaluate = fn;
+    job.attemptSeconds = attemptSeconds;
+    return executor_.runDegrading(
+        [&] { return executor_.expectation(job); });
 }
 
 void

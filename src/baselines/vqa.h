@@ -75,9 +75,10 @@ void finalizeMetrics(const problems::Problem &problem, double lambda,
 
 /**
  * Shared resilient-execution harness for the baseline VQAs: owns a
- * ResilientExecutor and wraps the demote-and-retry loop around one
- * sampling or expectation call.  Shots are re-derived from the ladder
- * on every attempt so a ReducedShots demotion takes effect immediately.
+ * ResilientExecutor and runs one sampling or expectation call through
+ * its demote-and-retry loop (ResilientExecutor::runDegrading).  Shots
+ * are re-derived from the ladder on every attempt so a ReducedShots
+ * demotion takes effect immediately.
  */
 class VqaExecHarness
 {
@@ -98,6 +99,17 @@ class VqaExecHarness
     sample(const std::string &tag, uint64_t nominalShots, int numBits,
            uint64_t rngSeed, double attemptSeconds,
            const std::function<qsim::Counts(Rng &, uint64_t)> &fn);
+
+    /**
+     * The final sampling: sample(), then, when the ladder is spent,
+     * a warning and one clean-simulator call of @p fn with
+     * Rng(@p rngSeed).  A stopped job (deadline or cancellation) gets
+     * no fallback: it returns empty counts, which the caller reports.
+     */
+    qsim::Counts
+    sampleFinal(const std::string &tag, uint64_t shots, int numBits,
+                uint64_t rngSeed, double attemptSeconds,
+                const std::function<qsim::Counts(Rng &, uint64_t)> &fn);
 
     /** Evaluate an expectation value with retries and degradation. */
     exec::Expected<double>

@@ -78,8 +78,9 @@ class Circuit
     /**
      * Content hash of the circuit: qubit count plus every gate record
      * (kind, controls, targets, exact parameter bits), FNV-1a folded.
-     * Two circuits with identical gate streams hash equal; used by the
-     * serve layer to content-address transpiled-circuit caches.
+     * Two circuits with identical gate streams hash equal.  Its only
+     * caller is the end-to-end harness (bench/e2e/traced.cc), which
+     * keys its memo of lowered segment circuits on it.
      */
     uint64_t fingerprint() const;
 

@@ -1,11 +1,9 @@
 #include "core/analysis.h"
 
+#include <algorithm>
 #include <sstream>
 
-#include "circuit/optimize.h"
-#include "circuit/transpile.h"
 #include "core/basis.h"
-#include "device/latency.h"
 #include "linalg/nullspace.h"
 
 namespace rasengan::core {
@@ -14,7 +12,6 @@ PipelineReport
 analyzePipeline(const RasenganSolver &solver)
 {
     const problems::Problem &problem = solver.problem();
-    const RasenganOptions &options = solver.opts();
 
     PipelineReport report;
     report.problemId = problem.id();
@@ -36,24 +33,20 @@ analyzePipeline(const RasenganSolver &solver)
     report.reachableStates = solver.chain().reachableCount;
     report.coverageCapped = solver.chain().capped;
 
-    device::LatencyModel latency(options.latencyDevice);
-    std::vector<double> nominal(solver.numParams(), options.initialTime);
+    // The pipeline's stored nominal costs, the figures the solver
+    // prices its executions with.
     for (int s = 0; s < static_cast<int>(solver.segments().size()); ++s) {
-        circuit::Circuit lowered = circuit::transpile(
-            solver.segmentCircuit(s, problem.trivialFeasible(), nominal),
-            {.mode = options.transpileMode, .lowerToCx = true});
-        circuit::Circuit optimized = circuit::optimizeCircuit(lowered);
+        const SegmentCost &cost = solver.segmentCosts()[s];
         SegmentReport seg;
         seg.index = s;
         seg.transitions = solver.segments()[s].stepCount;
-        seg.depth = optimized.depth();
-        seg.cxCount = optimized.countCx();
-        seg.shotTimeUs = latency.circuitTimeUs(optimized);
+        seg.depth = cost.depth;
+        seg.cxCount = cost.cx;
+        seg.shotTimeUs = cost.circuitUs;
         report.segments.push_back(seg);
         report.maxSegmentDepth = std::max(report.maxSegmentDepth, seg.depth);
-        report.quantumSecondsPerExecution += latency.executionTimeSeconds(
-            optimized, options.shotsPerSegment);
     }
+    report.quantumSecondsPerExecution = solver.perExecutionQuantumSeconds();
     return report;
 }
 

@@ -22,8 +22,8 @@ struct SegmentReport
     int index = 0;
     int transitions = 0;
     int depth = 0;      ///< transpiled + peephole-optimized
-    int cxCount = 0;
-    double shotTimeUs = 0.0; ///< latency model, one shot
+    int cxCount = 0;    ///< transpiled + peephole-optimized
+    double shotTimeUs = 0.0; ///< latency model, one transpiled shot
 };
 
 struct PipelineReport
@@ -44,6 +44,7 @@ struct PipelineReport
 
     std::vector<SegmentReport> segments;
     int maxSegmentDepth = 0;
+    /** RasenganSolver::perExecutionQuantumSeconds(). */
     double quantumSecondsPerExecution = 0.0;
 
     /** Human-readable multi-line summary. */

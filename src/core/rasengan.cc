@@ -151,8 +151,7 @@ RasenganSolver::evolveSegment(int seg_index, const BitVec &init,
     sim_.reset(init);
     for (int pos = seg.firstStep; pos < seg.firstStep + seg.stepCount;
          ++pos)
-        transitions()[chain().steps[pos]].applyTo(
-            sim_, times[pos], options_.sparsePruneThreshold);
+        transitions()[chain().steps[pos]].applyTo(sim_, times[pos]);
     maxObservedSupport_ =
         std::max<uint64_t>(maxObservedSupport_, sim_.supportSize());
     return sim_;
@@ -441,13 +440,13 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
         // the fault-free run and yields the identical histogram.
         const uint64_t job_seed = rng.engine()();
 
-        qsim::Counts raw;
-        for (;;) {
-            // Canonical state order: sampling consumes the job rng in a
-            // fixed sequence regardless of hash-map iteration order, so a
-            // checkpoint-resumed run replays the identical histogram.
-            std::vector<std::pair<BitVec, uint64_t>> alloc;
-            alloc.reserve(dist.size());
+        // Canonical state order: sampling consumes the job rng in a
+        // fixed sequence regardless of hash-map iteration order, so a
+        // checkpoint-resumed run replays the identical histogram.  The
+        // allocation is rebuilt per attempt: a demotion rescales it.
+        std::vector<std::pair<BitVec, uint64_t>> alloc;
+        auto attempt = ex.runDegrading([&]() -> exec::Expected<qsim::Counts> {
+            alloc.clear();
             uint64_t total_shots = 0;
             for (const auto &[y, cnt] : dist) {
                 uint64_t a = ex.degradedShots(cnt);
@@ -457,10 +456,11 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
                 }
             }
             std::sort(alloc.begin(), alloc.end());
-            if (alloc.empty()) {
-                result.failed = true;
-                return result;
-            }
+            if (alloc.empty())
+                return exec::ExecError{exec::ErrorCode::InvalidJob,
+                                       "segment " + std::to_string(s) +
+                                           ": no shots to run",
+                                       0};
 
             exec::ShotJob job;
             job.tag = "segment " + std::to_string(s);
@@ -471,28 +471,17 @@ RasenganSolver::execute(const std::vector<double> &times, Rng &rng,
             job.sample = [this, s, &times, &alloc](Rng &job_rng) {
                 return sampleSegment(s, times, alloc, job_rng);
             };
-
-            auto attempt = ex.run(job);
-            if (attempt.ok()) {
-                raw = std::move(attempt.value());
-                break;
-            }
-            // A deadline/cancel failure is terminal: demoting the
-            // ladder and re-running cannot buy the job more time.
-            if (attempt.error().code == exec::ErrorCode::DeadlineExceeded ||
-                attempt.error().code == exec::ErrorCode::Cancelled) {
-                result.failed = true;
-                result.deadlineHit = true;
-                return result;
-            }
-            if (!ex.canDemote()) {
+            return ex.run(job);
+        });
+        if (!attempt.ok()) {
+            result.failed = true;
+            result.deadlineHit = attempt.error().stopped();
+            if (!result.deadlineHit)
                 warn("segment {} failed permanently: {}", s,
                      attempt.error().toString());
-                result.failed = true;
-                return result;
-            }
-            ex.demote(attempt.error().toString());
+            return result;
         }
+        qsim::Counts raw = std::move(attempt.value());
 
         // Optional readout mitigation: undo measurement bit flips before
         // deciding feasibility (mitigation.h; calibrated from the noise

@@ -98,12 +98,6 @@ struct RasenganOptions
         circuit::TranspileMode::AncillaLadder;
     int rounds = -1;               ///< chain rounds; -1 = m (Theorem 1)
     size_t maxTrackedStates = size_t{1} << 20; ///< pruning reachability cap
-    /**
-     * Post-rotation prune threshold on |amplitude|^2 forwarded to every
-     * sparse kernel invocation (<= 0 disables pruning entirely, keeping
-     * exact zeros in the support).
-     */
-    double sparsePruneThreshold = qsim::SparseState::kDefaultPruneThreshold;
     /// @}
 
     /** Device whose durations drive the quantum-latency estimate. */
@@ -121,13 +115,14 @@ struct RasenganOptions
      */
     std::shared_ptr<const struct PipelineArtifacts> pipeline;
     /**
-     * Optional transpile memo for NoisyGateLevel, which lowers each
+     * Optional transpile hook for NoisyGateLevel, which lowers each
      * segment at its trained times: when set, those lowerings go
-     * through this hook instead of circuit::transpile directly, letting
-     * the serve layer content-address transpiled circuits across jobs.
-     * The hook MUST be semantically transparent (return exactly
-     * transpile(circ, opts)); results are bit-identical with or without
-     * it.
+     * through it instead of circuit::transpile.  The end-to-end
+     * harness's attribution pass (bench/e2e/traced.cc) is its only
+     * caller, memoizing lowerings across jobs; the serve layer calls
+     * circuit::transpile directly.  The hook MUST be semantically
+     * transparent (return exactly transpile(circ, opts)); results are
+     * bit-identical with or without it.
      */
     std::function<circuit::Circuit(const circuit::Circuit &,
                                    const circuit::TranspileOptions &)>
@@ -315,6 +310,14 @@ class RasenganSolver
     RasenganResult run();
 
     /**
+     * Latency-model seconds of one execution of the whole pipeline:
+     * every segment's stored nominal circuit time at its shot count
+     * (shotsPerSegment * shotGrowth^s).  An exact-mode run() reports
+     * quantumSeconds = this * training evaluations.
+     */
+    double perExecutionQuantumSeconds() const;
+
+    /**
      * The resilient executor all shot-based executions route through
      * (per-solver state: retry stats, breaker, degradation ladder).
      */
@@ -328,14 +331,13 @@ class RasenganSolver
     uint64_t maxObservedSupport() const { return maxObservedSupport_; }
 
   private:
-    /** transpile() via options_.lowerCircuit when set (serve memo). */
+    /** transpile() via options_.lowerCircuit when set (harness hook). */
     circuit::Circuit lowerSegment(const circuit::Circuit &circ) const;
     double scoreDistribution(const RasenganDistribution &dist) const;
     RasenganResult summarize(const std::vector<double> &times,
                              opt::OptResult training, double classical_s,
                              double quantum_s,
                              const exec::SegmentCheckpoint *resume) const;
-    double perExecutionQuantumSeconds() const;
     qsim::Counts sampleSegment(int seg_index,
                                const std::vector<double> &times,
                                const std::vector<std::pair<BitVec,

@@ -52,6 +52,14 @@ struct ExecError
                code != ErrorCode::Cancelled;
     }
 
+    /** The job's cancel token tripped: a deadline or a cancellation. */
+    bool
+    stopped() const
+    {
+        return code == ErrorCode::DeadlineExceeded ||
+               code == ErrorCode::Cancelled;
+    }
+
     std::string toString() const;
 };
 

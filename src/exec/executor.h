@@ -10,7 +10,7 @@
  *     the accumulated delay feeds the quantum-latency estimate);
  *  2. a circuit breaker that fails fast out of a retry loop after
  *     `failureThreshold` consecutive attempt failures;
- *  3. a graceful-degradation ladder consulted by the solvers when an
+ *  3. a graceful-degradation ladder stepped by runDegrading() when an
  *     execution still fails after retries: reduce per-segment shots ->
  *     disable purification -> fall back to the clean simulator (bypass
  *     the faulty backend).  Each demotion is logged and counted.
@@ -95,6 +95,29 @@ class ResilientExecutor
     /** Execute with retries; never aborts. */
     Expected<qsim::Counts> run(const ShotJob &job);
     Expected<double> expectation(const ValueJob &job);
+
+    /**
+     * The demote-and-retry loop every solver shares: call @p attempt
+     * (which builds its job from the current level, e.g. through
+     * degradedShots(), and runs it) until it succeeds, demoting the
+     * ladder one step after each failure.  It returns the failure
+     * without demoting when the job was stopped (a deadline or a
+     * cancellation: no level buys it more time) or is invalid, and
+     * when the ladder is spent.
+     */
+    template <typename Attempt>
+    auto
+    runDegrading(const Attempt &attempt) -> decltype(attempt())
+    {
+        for (;;) {
+            auto result = attempt();
+            if (result.ok() || result.error().stopped() ||
+                result.error().code == ErrorCode::InvalidJob ||
+                !canDemote())
+                return result;
+            demote(result.error().toString());
+        }
+    }
 
     /// @name Degradation ladder
     /// @{

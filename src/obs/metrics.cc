@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "obs/json.h"
 
 namespace rasengan::obs {
 
@@ -66,23 +67,6 @@ renderLabelsWith(const Labels &labels, const std::string &key,
     Labels merged = labels;
     merged[key] = value;
     return renderLabels(merged);
-}
-
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (char c : raw) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '"': out += "\\\""; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
 }
 
 } // namespace

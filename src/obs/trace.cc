@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/flight.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace rasengan::obs {
@@ -222,23 +223,6 @@ snapshotTraceEvents()
 }
 
 namespace {
-
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (char c : raw) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '"': out += "\\\""; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 /**
  * Membership in a remote-rooted subtree, memoized parent-chain walk.

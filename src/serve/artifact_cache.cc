@@ -33,53 +33,6 @@ cacheCounters()
     return counters;
 }
 
-/**
- * Labeled per-domain registry mirrors ({domain="pipeline"} etc.) -- the
- * global totals above hide WHICH layer of reuse is working.  Memoized
- * per domain string so the registry mutex is only taken on first sight
- * of a domain.
- */
-struct DomainCounters
-{
-    obs::Counter &hits;
-    obs::Counter &misses;
-    obs::Counter &insertions;
-    obs::Counter &evictions;
-};
-
-DomainCounters &
-domainCounters(const std::string &domain)
-{
-    static std::mutex mutex;
-    static std::map<std::string, DomainCounters> memo;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = memo.find(domain);
-    if (it == memo.end()) {
-        obs::Registry &reg = obs::Registry::global();
-        obs::Labels labels{
-            {"domain", domain.empty() ? "untagged" : domain}};
-        it = memo.emplace(
-                     domain,
-                     DomainCounters{
-                         reg.counter("serve_cache_domain_hits_total",
-                                     "Artifact cache hits by domain",
-                                     labels),
-                         reg.counter("serve_cache_domain_misses_total",
-                                     "Artifact cache misses by domain",
-                                     labels),
-                         reg.counter(
-                             "serve_cache_domain_insertions_total",
-                             "Artifacts inserted by domain", labels),
-                         reg.counter(
-                             "serve_cache_domain_evictions_total",
-                             "Artifacts evicted, attributed to the "
-                             "victim's domain",
-                             labels)})
-                 .first;
-    }
-    return it->second;
-}
-
 } // namespace
 
 ArtifactCache::ArtifactCache(uint64_t byte_budget)
@@ -88,39 +41,28 @@ ArtifactCache::ArtifactCache(uint64_t byte_budget)
 }
 
 std::shared_ptr<const void>
-ArtifactCache::find(const CacheKey &key, LookupCounters *counters,
-                    const char *domain)
+ArtifactCache::find(const CacheKey &key, LookupCounters *counters)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    DomainStats &dom = stats_.domains[domain];
     auto it = index_.find(key);
     if (it == index_.end()) {
         ++stats_.misses;
-        ++dom.misses;
         cacheCounters().misses.inc();
-        domainCounters(domain).misses.inc();
-        if (counters) {
+        if (counters)
             ++counters->misses;
-            ++counters->domains[domain].misses;
-        }
         return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second); // touch
     ++stats_.hits;
-    ++dom.hits;
     cacheCounters().hits.inc();
-    domainCounters(domain).hits.inc();
-    if (counters) {
+    if (counters)
         ++counters->hits;
-        ++counters->domains[domain].hits;
-    }
     return it->second->value;
 }
 
 std::shared_ptr<const void>
 ArtifactCache::publish(const CacheKey &key,
-                       std::shared_ptr<const void> value, uint64_t bytes,
-                       const char *domain)
+                       std::shared_ptr<const void> value, uint64_t bytes)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
@@ -136,26 +78,13 @@ ArtifactCache::publish(const CacheKey &key,
         cacheCounters().uncacheable.inc();
         return value;
     }
-    DomainStats &dom = stats_.domains[domain];
-    lru_.push_front(Entry{key, std::move(value), bytes, domain});
+    lru_.push_front(Entry{key, std::move(value), bytes});
     index_[key] = lru_.begin();
     stats_.bytesInUse += bytes;
-    dom.bytesInUse += bytes;
-    ++dom.entries;
     ++stats_.insertions;
-    ++dom.insertions;
     cacheCounters().insertions.inc();
-    domainCounters(domain).insertions.inc();
     while (stats_.bytesInUse > stats_.byteBudget && lru_.size() > 1) {
         const Entry &victim = lru_.back();
-        // Attribute the eviction to the VICTIM's domain: that is the
-        // cross-domain pressure signal (domain A inserting can show up
-        // here as domain B losing entries).
-        DomainStats &vdom = stats_.domains[victim.domain];
-        ++vdom.evictions;
-        domainCounters(victim.domain).evictions.inc();
-        vdom.bytesInUse -= victim.bytes;
-        --vdom.entries;
         stats_.bytesInUse -= victim.bytes;
         index_.erase(victim.key);
         lru_.pop_back();
@@ -184,10 +113,6 @@ ArtifactCache::clear()
     index_.clear();
     stats_.bytesInUse = 0;
     stats_.entries = 0;
-    for (auto &[domain, dom] : stats_.domains) {
-        dom.bytesInUse = 0;
-        dom.entries = 0;
-    }
     cacheCounters().bytesInUse.set(0.0);
     cacheCounters().entries.set(0.0);
 }

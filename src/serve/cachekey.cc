@@ -30,7 +30,7 @@ CacheKey
 makeKey(std::string_view domain, std::string_view payload)
 {
     // Two streams with unrelated bases; the domain and a separator are
-    // folded in first so "basis"+X never aliases "circuit"+X.
+    // folded in first so domain "a"+X never aliases domain "b"+X.
     CacheKey key;
     uint64_t a = fnv1a64(domain);
     a = fnv1a64("\x1f", a);

@@ -3,14 +3,13 @@
  * Content-addressed cache keys for the batch solve service.
  *
  * A CacheKey is a 128-bit hash (two independent 64-bit FNV-1a streams)
- * of a canonical byte string: a short domain tag ("basis", "pipeline",
- * "circuit", "job") plus the canonical serialization of whatever the
- * artifact depends on.  Canonical means construction-order independent
- * -- problems go through problems::canonicalProblemText, solver configs
- * through serve::canonicalRequestText, circuits through
- * circuit::Circuit::fingerprint -- so the same logical input always
- * addresses the same cache slot, while any differing field changes the
- * key.
+ * of a canonical byte string: a short domain tag (the serve layer uses
+ * "pipeline") plus the canonical serialization of whatever the artifact
+ * depends on.  Canonical means construction-order independent --
+ * problems go through problems::canonicalProblemText, solver configs
+ * through serve::canonicalRequestText -- so the same logical input
+ * always addresses the same cache slot, while any differing field
+ * changes the key.
  */
 
 #ifndef RASENGAN_SERVE_CACHEKEY_H

@@ -345,12 +345,11 @@ writeTelemetry(const JobResult &result)
         .field("degradation", result.telemetry.degradation)
         .field("priority", result.telemetry.priority);
     w.boolean("deadline_hit", result.telemetry.deadlineHit);
-    // Per-domain cache attribution (global hits/misses above persist
-    // for compatibility; these split them by artifact domain).
-    w.field("cache_pipeline_hits", result.telemetry.cachePipelineHits)
-        .field("cache_pipeline_misses", result.telemetry.cachePipelineMisses)
-        .field("cache_circuit_hits", result.telemetry.cacheCircuitHits)
-        .field("cache_circuit_misses", result.telemetry.cacheCircuitMisses);
+    // Pipelines are the only cached artifact, so these repeat the two
+    // counts above; they stay only because the end-to-end harness
+    // (bench/e2e/traced.cc) reads these keys for its pipeline hit ratio.
+    w.field("cache_pipeline_hits", result.telemetry.cacheHits)
+        .field("cache_pipeline_misses", result.telemetry.cacheMisses);
     w.field("support_max", result.telemetry.supportMax);
     if (!result.telemetry.traceId.empty())
         w.field("trace_id", result.telemetry.traceId);

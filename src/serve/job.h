@@ -108,16 +108,6 @@ struct JobTelemetry
     bool deadlineHit = false; ///< stopped by the wall-clock timeout
     std::string priority = "batch";
 
-    /// @name Per-domain artifact-cache attribution
-    ///
-    /// Hits/misses split by cache domain (pipeline/circuit), the
-    /// per-job counterpart of the registry's labeled domain counters --
-    /// the global hit rate hides which layer of reuse a job exercised.
-    /// @{
-    uint64_t cachePipelineHits = 0, cachePipelineMisses = 0;
-    uint64_t cacheCircuitHits = 0, cacheCircuitMisses = 0;
-    /// @}
-
     /** Peak sparse-simulator support observed (support-growth
      *  summary). */
     uint64_t supportMax = 0;

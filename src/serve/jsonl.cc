@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/json.h"
+
 namespace rasengan::serve {
 
 namespace {
@@ -285,46 +287,19 @@ LineReader::next(Line &out)
     }
 }
 
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (unsigned char c : raw) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(static_cast<char>(c));
-            }
-        }
-    }
-    return out;
-}
-
 void
 JsonWriter::prefix(const std::string &key)
 {
     if (!body_.empty())
         body_ += ",";
-    body_ += "\"" + jsonEscape(key) + "\":";
+    body_ += "\"" + obs::jsonEscape(key) + "\":";
 }
 
 JsonWriter &
 JsonWriter::field(const std::string &key, const std::string &value)
 {
     prefix(key);
-    body_ += "\"" + jsonEscape(value) + "\"";
+    body_ += "\"" + obs::jsonEscape(value) + "\"";
     return *this;
 }
 

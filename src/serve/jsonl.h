@@ -116,9 +116,6 @@ class LineReader
     size_t nulLines_ = 0;
 };
 
-/** JSON string escaping (quotes not included). */
-std::string jsonEscape(const std::string &raw);
-
 /** Builds one flat JSON object line, keys in call order. */
 class JsonWriter
 {

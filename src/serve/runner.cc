@@ -8,7 +8,6 @@
 #include "baselines/chocoq.h"
 #include "baselines/hea.h"
 #include "baselines/pqaoa.h"
-#include "circuit/transpile.h"
 #include "common/logging.h"
 #include "core/rasengan.h"
 #include "device/device.h"
@@ -61,12 +60,6 @@ estimatePipelineBytes(const core::PipelineArtifacts &artifacts)
     bytes += artifacts.segments.size() * 16;
     bytes += artifacts.segmentCosts.size() * sizeof(core::SegmentCost);
     return bytes;
-}
-
-uint64_t
-estimateCircuitBytes(const circuit::Circuit &circ)
-{
-    return 64 + static_cast<uint64_t>(circ.size()) * 80;
 }
 
 std::string
@@ -280,17 +273,6 @@ JobRunner::run(const PreparedJob &job,
     result.resultHash = hashResult(result);
     result.telemetry.cacheHits = counters.hits;
     result.telemetry.cacheMisses = counters.misses;
-    auto domain = [&counters](const char *name)
-        -> ArtifactCache::LookupCounters::DomainLookup {
-        auto it = counters.domains.find(name);
-        return it == counters.domains.end()
-                   ? ArtifactCache::LookupCounters::DomainLookup{}
-                   : it->second;
-    };
-    result.telemetry.cachePipelineHits = domain("pipeline").hits;
-    result.telemetry.cachePipelineMisses = domain("pipeline").misses;
-    result.telemetry.cacheCircuitHits = domain("circuit").hits;
-    result.telemetry.cacheCircuitMisses = domain("circuit").misses;
     result.telemetry.priority = job.req.priority;
     return result;
 }
@@ -366,39 +348,7 @@ JobRunner::solveRasengan(const PreparedJob &job,
                     uint64_t bytes = estimatePipelineBytes(*built);
                     return {built, bytes};
                 },
-                &counters, "pipeline");
-    }
-
-    // Transpiled segment circuits of the gate-level noisy backend (the
-    // others read the pipeline's segment costs): content-addressed by
-    // the input circuit's fingerprint + lowering options, shared across
-    // jobs.
-    {
-        std::shared_ptr<ArtifactCache> cache = cache_;
-        ArtifactCache::LookupCounters *ctr = &counters;
-        opts.lowerCircuit =
-            [cache, ctr](const circuit::Circuit &circ,
-                         const circuit::TranspileOptions &topts) {
-                char payload[64];
-                std::snprintf(payload, sizeof(payload), "%016llx|%d|%d",
-                              static_cast<unsigned long long>(
-                                  circ.fingerprint()),
-                              static_cast<int>(topts.mode),
-                              topts.lowerToCx ? 1 : 0);
-                CacheKey key = makeKey("circuit", payload);
-                auto lowered = cache->getOrCompute<circuit::Circuit>(
-                    key,
-                    [&circ, &topts]()
-                        -> std::pair<
-                            std::shared_ptr<const circuit::Circuit>,
-                            uint64_t> {
-                        auto built = std::make_shared<circuit::Circuit>(
-                            circuit::transpile(circ, topts));
-                        return {built, estimateCircuitBytes(*built)};
-                    },
-                    ctr, "circuit");
-                return *lowered;
-            };
+                &counters);
     }
 
     core::RasenganSolver solver(*job.problem, opts);

@@ -744,6 +744,46 @@ TEST(ResilientExecutorTest, DeadlineStopsARetryLoopMidway)
     EXPECT_EQ(ex.stats().deadlineHits, 1u);
 }
 
+TEST(ResilientExecutorTest, RunDegradingStepsDownToTheCleanFallback)
+{
+    ResilienceOptions opts;
+    opts.faults.rate = 1.0; // every attempt on the faulty chain fails
+    opts.retry.maxAttempts = 2;
+    ResilientExecutor ex(opts);
+    int calls = 0;
+    auto r = ex.runDegrading([&] {
+        ++calls;
+        return ex.run(makeJob(ex.degradedShots(64), 3, 21));
+    });
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().total(), 64u); // the clean path's full shots
+    EXPECT_EQ(ex.level(), DegradationLevel::CleanFallback);
+    EXPECT_EQ(ex.stats().demotions, 3);
+    EXPECT_EQ(calls, 4);
+}
+
+TEST(ResilientExecutorTest, RunDegradingNeverDemotesAStoppedJob)
+{
+    // A tripped token is not a backend failure: no level buys the job
+    // more time, so the loop returns the stop with the ladder untouched.
+    CancelToken token;
+    token.cancel();
+    ResilienceOptions opts;
+    opts.cancel = &token;
+    ResilientExecutor ex(opts);
+    int calls = 0;
+    auto r = ex.runDegrading([&] {
+        ++calls;
+        return ex.run(makeJob(32, 3, 1));
+    });
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ErrorCode::Cancelled);
+    EXPECT_TRUE(r.error().stopped());
+    EXPECT_EQ(ex.level(), DegradationLevel::Full);
+    EXPECT_EQ(ex.stats().demotions, 0);
+    EXPECT_EQ(calls, 1);
+}
+
 TEST(ResilientExecutorTest, CleanFallbackHonoursTheToken)
 {
     CancelToken token;

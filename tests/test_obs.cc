@@ -392,6 +392,45 @@ TEST(Trace, ChromeExportIsBalancedAndSorted)
     EXPECT_NE(text.find("x\\\"y\\\\z"), std::string::npos);
 }
 
+/** Raw bytes below 0x20 other than the line breaks between records. */
+size_t
+rawControlBytes(const std::string &text)
+{
+    size_t n = 0;
+    for (unsigned char c : text)
+        if (c < 0x20 && c != '\n')
+            ++n;
+    return n;
+}
+
+TEST(Trace, ChromeExportEscapesControlBytes)
+{
+    TraceGuard guard;
+    obs::clearTrace();
+    obs::startTracing();
+    { obs::Span s("cat", "ctl", "a\rb\x01" "c"); }
+    obs::stopTracing();
+
+    const std::string path = ::testing::TempDir() + "trace_ctl_test.json";
+    ASSERT_TRUE(obs::writeChromeTrace(path));
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    std::remove(path.c_str());
+    EXPECT_NE(text.find("a\\rb\\u0001c"), std::string::npos);
+    EXPECT_EQ(rawControlBytes(text), 0u);
+}
+
+TEST(JsonText, EscapesControlBytesInLabels)
+{
+    obs::Registry reg;
+    reg.counter("c_total", "", {{"id", "a\rb\x01" "c"}}).inc();
+    const std::string text = reg.jsonText();
+    EXPECT_NE(text.find("a\\rb\\u0001c"), std::string::npos);
+    EXPECT_EQ(rawControlBytes(text), 0u);
+}
+
 TEST(Trace, SpanEndsRecordedEvenIfTracingStopsMidSpan)
 {
     TraceGuard guard;

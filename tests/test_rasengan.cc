@@ -431,7 +431,10 @@ TEST(Rasengan, AlternativeOptimizersTrain)
 TEST(Rasengan, PipelineReportIsConsistent)
 {
     problems::Problem p = problems::makeBenchmark("K2");
-    RasenganSolver solver(p, fastOptions());
+    RasenganOptions opts = fastOptions();
+    opts.maxIterations = 20;
+    opts.shotGrowth = 2.0; // the report must price the grown shot counts
+    RasenganSolver solver(p, opts);
     PipelineReport report = analyzePipeline(solver);
 
     EXPECT_EQ(report.problemId, "K2");
@@ -450,6 +453,23 @@ TEST(Rasengan, PipelineReportIsConsistent)
     std::string text = report.toString();
     EXPECT_NE(text.find("K2"), std::string::npos);
     EXPECT_NE(text.find("segments"), std::string::npos);
+
+    // The report and the solver price the same circuits: each segment's
+    // stored cost, and an exact-mode solve's quantum time is its
+    // evaluations times the report's per-execution figure.
+    ASSERT_GT(report.segments.size(), 1u);
+    for (size_t s = 0; s < report.segments.size(); ++s) {
+        const SegmentCost &cost = solver.segmentCosts()[s];
+        EXPECT_EQ(report.segments[s].depth, cost.depth) << s;
+        EXPECT_EQ(report.segments[s].cxCount, cost.cx) << s;
+        EXPECT_EQ(report.segments[s].shotTimeUs, cost.circuitUs) << s;
+    }
+    RasenganResult res = solver.run();
+    ASSERT_FALSE(res.failed);
+    ASSERT_GT(res.training.evaluations, 0);
+    EXPECT_DOUBLE_EQ(res.quantumSeconds,
+                     report.quantumSecondsPerExecution *
+                         res.training.evaluations);
 }
 
 TEST(Rasengan, ResultMetadataIsFilled)

@@ -210,38 +210,28 @@ TEST(ArtifactCache, OversizedArtifactIsReturnedButNotInserted)
     EXPECT_EQ(stats.bytesInUse, 0u);
 }
 
-TEST(ArtifactCache, CrossDomainEvictionsAttributedToVictimDomain)
+TEST(ArtifactCache, DomainsShareOneByteBudget)
 {
-    // The byte budget is shared across domains: pressure from domain
-    // "B" can evict "A"'s entries, and the eviction must be charged to
-    // the victim's domain, not the inserter's.
+    // Keys of different domains never alias, but they share one LRU
+    // budget: inserting under "B" evicts the least recent "A" entry.
     ArtifactCache cache(250);
-    cache.getOrCompute<int>(makeKey("A", "a1"),
-                            [] { return makeInt(1, 100); }, nullptr, "A");
-    cache.getOrCompute<int>(makeKey("A", "a2"),
-                            [] { return makeInt(2, 100); }, nullptr, "A");
-    cache.getOrCompute<int>(makeKey("B", "b1"),
-                            [] { return makeInt(3, 100); }, nullptr, "B");
+    cache.getOrCompute<int>(makeKey("A", "x"), [] { return makeInt(1, 100); });
+    cache.getOrCompute<int>(makeKey("A", "y"), [] { return makeInt(2, 100); });
+    auto b = cache.getOrCompute<int>(makeKey("B", "x"),
+                                     [] { return makeInt(3, 100); });
+    EXPECT_EQ(*b, 3);
 
     ArtifactCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 3u);
     EXPECT_EQ(stats.evictions, 1u);
-    ASSERT_EQ(stats.domains.count("A"), 1u);
-    ASSERT_EQ(stats.domains.count("B"), 1u);
-    EXPECT_EQ(stats.domains.at("A").evictions, 1u);
-    EXPECT_EQ(stats.domains.at("B").evictions, 0u);
-    EXPECT_EQ(stats.domains.at("A").misses, 2u);
-    EXPECT_EQ(stats.domains.at("B").misses, 1u);
-
-    // More pressure from B evicts the remaining A entry and then B's
-    // own LRU; each eviction lands on its owner.
-    cache.getOrCompute<int>(makeKey("B", "b2"),
-                            [] { return makeInt(4, 100); }, nullptr, "B");
-    cache.getOrCompute<int>(makeKey("B", "b3"),
-                            [] { return makeInt(5, 100); }, nullptr, "B");
-    stats = cache.stats();
-    EXPECT_EQ(stats.domains.at("A").evictions, 2u);
-    EXPECT_EQ(stats.domains.at("B").evictions, 1u);
-    EXPECT_EQ(stats.evictions, 3u);
+    EXPECT_EQ(stats.entries, 2u);
+    EXPECT_EQ(stats.bytesInUse, 200u);
+    int recomputes = 0;
+    cache.getOrCompute<int>(makeKey("A", "x"), [&] {
+        ++recomputes;
+        return makeInt(1, 100);
+    });
+    EXPECT_EQ(recomputes, 1); // A/x was the victim
 }
 
 // ---------------------------------------------------------------------
@@ -933,18 +923,24 @@ TEST(Scheduler, ResultBytesIdenticalWithTracingOn)
 
 TEST(Scheduler, PerJobTimeoutSurfacesDeadlineTelemetry)
 {
-    ServeOptions options;
-    BatchScheduler scheduler(options);
-    JobRequest req;
-    req.id = "tight";
-    req.benchmark = "K1";
-    req.iterations = 50;
-    req.timeoutMs = 1e-6; // expires before the first checkpoint
-    scheduler.submit(req);
-    scheduler.runAll();
-    const JobResult &r = scheduler.results()[0];
-    ASSERT_TRUE(r.accepted);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("deadline"), std::string::npos);
-    EXPECT_TRUE(r.telemetry.deadlineHit);
+    // Every algorithm reports the timeout: a baseline must not demote
+    // its ladder on the stop and then sample the clean simulator.
+    for (const char *algorithm : {"rasengan", "hea", "pqaoa", "chocoq"}) {
+        ServeOptions options;
+        BatchScheduler scheduler(options);
+        JobRequest req;
+        req.id = "tight";
+        req.benchmark = "K1";
+        req.algorithm = algorithm;
+        req.iterations = 20;
+        req.timeoutMs = 1e-6; // expires before the first checkpoint
+        scheduler.submit(req);
+        scheduler.runAll();
+        const JobResult &r = scheduler.results()[0];
+        ASSERT_TRUE(r.accepted) << algorithm;
+        EXPECT_FALSE(r.ok) << algorithm;
+        EXPECT_NE(r.error.find("deadline"), std::string::npos) << algorithm;
+        EXPECT_TRUE(r.telemetry.deadlineHit) << algorithm;
+        EXPECT_EQ(r.telemetry.degradation, "full") << algorithm;
+    }
 }
