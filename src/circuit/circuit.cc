@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <sstream>
 
 #include "common/logging.h"
@@ -68,12 +67,13 @@ Circuit::checkQubit(int q) const
 void
 Circuit::checkGate(const Gate &g) const
 {
-    std::set<int> seen;
-    for (int q : g.qubits()) {
+    g.forEachQubit([&](int q) {
         checkQubit(q);
-        panic_if(!seen.insert(q).second, "duplicate qubit {} in {} gate", q,
+        int uses = 0;
+        g.forEachQubit([&](int r) { uses += r == q; });
+        panic_if(uses > 1, "duplicate qubit {} in {} gate", q,
                  gateName(g.kind));
-    }
+    });
     switch (g.kind) {
       case GateKind::X:
       case GateKind::H:
@@ -206,11 +206,9 @@ scheduledDepth(const Circuit &c, Pred counts)
             continue;
         }
         int start = 0;
-        for (int q : g.qubits())
-            start = std::max(start, level[q]);
-        int next = start + (counts(g) ? 1 : 0);
-        for (int q : g.qubits())
-            level[q] = next;
+        g.forEachQubit([&](int q) { start = std::max(start, level[q]); });
+        const int next = start + (counts(g) ? 1 : 0);
+        g.forEachQubit([&](int q) { level[q] = next; });
         depth = std::max(depth, next);
     }
     return depth;

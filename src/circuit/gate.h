@@ -56,6 +56,17 @@ struct Gate
         return qs;
     }
 
+    /** Call @p f on every qubit the gate touches, controls first. */
+    template <typename F>
+    void
+    forEachQubit(F &&f) const
+    {
+        for (int q : controls)
+            f(q);
+        for (int q : targets)
+            f(q);
+    }
+
     /** True when the gate acts on two or more qubits. */
     bool
     isMultiQubit() const

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+
+#include "common/logging.h"
 
 namespace rasengan::circuit {
 
@@ -36,36 +37,68 @@ isMergeableRotation(GateKind kind)
 bool
 samePhaseWiring(const Gate &a, const Gate &b)
 {
-    if (a.kind != b.kind)
+    if (a.kind != b.kind || a.controls.size() + a.targets.size() !=
+                                b.controls.size() + b.targets.size())
         return false;
-    auto qubit_set = [](const Gate &g) {
-        std::vector<int> qs = g.qubits();
-        std::sort(qs.begin(), qs.end());
-        return qs;
-    };
-    return qubit_set(a) == qubit_set(b);
+    // A gate's qubits are distinct, so equal counts and containment
+    // mean equal sets.
+    bool contained = true;
+    a.forEachQubit([&](int q) {
+        bool found = false;
+        b.forEachQubit([&](int r) { found |= r == q; });
+        contained &= found;
+    });
+    return contained;
 }
 
-bool
-sharesQubit(const Gate &a, const Gate &b)
+/** A pass's working arrays, reused by every pass of one circuit. */
+struct PassScratch
 {
-    for (int qa : a.qubits())
-        for (int qb : b.qubits())
-            if (qa == qb)
-                return true;
-    return false;
-}
+    explicit PassScratch(int num_qubits) : onQubit(num_qubits) {}
 
-/** One peephole pass; returns nullopt when nothing changed. */
-std::optional<std::vector<Gate>>
-pass(const std::vector<Gate> &gates)
-{
+    /** Per wire, the indices into out of the surviving gates on it. */
+    std::vector<std::vector<int>> onQubit;
     std::vector<Gate> out;
+    /** Per entry of out: cancelled or merged away after it was kept. */
+    std::vector<char> dead;
+};
+
+/**
+ * One peephole pass over @p gates, in place; false when nothing
+ * changed.  Gates are moved, never copied.
+ */
+bool
+pass(std::vector<Gate> &gates, PassScratch &scratch)
+{
+    auto &on_qubit = scratch.onQubit;
+    auto &out = scratch.out;
+    auto &dead = scratch.dead;
+    for (auto &stack : on_qubit)
+        stack.clear();
+    out.clear();
+    dead.clear();
+    int fence = -1; // index in out of the last barrier
     bool changed = false;
 
-    for (const Gate &g : gates) {
+    // Cancels and merges need equal qubit sets, so the gate erased is
+    // the top of every stack it is on.
+    auto erase = [&](int idx) {
+        out[idx].forEachQubit([&](int q) {
+            panic_if(on_qubit[q].back() != idx,
+                     "erased gate {} is not the last on qubit {}", idx, q);
+            on_qubit[q].pop_back();
+        });
+        dead[idx] = 1;
+    };
+    auto keep = [&](Gate &g) {
+        out.push_back(std::move(g));
+        dead.push_back(0);
+    };
+
+    for (Gate &g : gates) {
         if (g.kind == GateKind::Barrier) {
-            out.push_back(g);
+            fence = static_cast<int>(out.size());
+            keep(g);
             continue;
         }
         if ((isMergeableRotation(g.kind) && g.targets.size() == 1) &&
@@ -74,20 +107,18 @@ pass(const std::vector<Gate> &gates)
             continue;
         }
 
-        // Find the nearest earlier surviving gate sharing a qubit.
+        // The nearest earlier surviving gate sharing a qubit is the
+        // latest top among the gate's wires, unless a later barrier
+        // fences it off.
         int prev = -1;
-        for (int i = static_cast<int>(out.size()) - 1; i >= 0; --i) {
-            if (out[i].kind == GateKind::Barrier)
-                break;
-            if (sharesQubit(out[i], g)) {
-                prev = i;
-                break;
-            }
-        }
-        if (prev >= 0) {
+        g.forEachQubit([&](int q) {
+            if (!on_qubit[q].empty())
+                prev = std::max(prev, on_qubit[q].back());
+        });
+        if (prev > fence) {
             Gate &p = out[prev];
             if (isSelfInverse(g.kind) && sameWiring(p, g)) {
-                out.erase(out.begin() + prev);
+                erase(prev);
                 changed = true;
                 continue;
             }
@@ -97,16 +128,21 @@ pass(const std::vector<Gate> &gates)
             if (isMergeableRotation(g.kind) && wiring_ok) {
                 p.param += g.param;
                 if (std::abs(p.param) < kAngleEps)
-                    out.erase(out.begin() + prev);
+                    erase(prev);
                 changed = true;
                 continue;
             }
         }
-        out.push_back(g);
+        const int idx = static_cast<int>(out.size());
+        g.forEachQubit([&](int q) { on_qubit[q].push_back(idx); });
+        keep(g);
     }
-    if (!changed)
-        return std::nullopt;
-    return out;
+
+    gates.clear();
+    for (size_t i = 0; i < out.size(); ++i)
+        if (!dead[i])
+            gates.push_back(std::move(out[i]));
+    return changed;
 }
 
 } // namespace
@@ -115,12 +151,10 @@ Circuit
 optimizeCircuit(const Circuit &input, int max_passes)
 {
     std::vector<Gate> gates = input.gates();
-    for (int i = 0; i < max_passes; ++i) {
-        auto next = pass(gates);
-        if (!next)
+    PassScratch scratch(input.numQubits());
+    for (int i = 0; i < max_passes; ++i)
+        if (!pass(gates, scratch))
             break;
-        gates = std::move(*next);
-    }
     Circuit out(input.numQubits());
     for (Gate &g : gates)
         out.append(std::move(g));

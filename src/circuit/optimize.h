@@ -24,6 +24,11 @@ namespace rasengan::circuit {
  *  - X.X, H.H, CX.CX, Swap.Swap with identical wiring cancel;
  *  - consecutive RX/RY/RZ/P on one wire and CP on one pair merge angles;
  *  - rotations with (merged) angle ~ 0 are dropped.
+ * A barrier fences off every gate before it.  Each pass costs
+ * O(qubits + total gate arity): every wire keeps a stack of its
+ * surviving gates, so the nearest earlier gate is the latest top among
+ * the gate's wires, and a cancelled gate is popped, not erased from the
+ * middle of the gate list.
  */
 Circuit optimizeCircuit(const Circuit &input, int max_passes = 10);
 

@@ -46,17 +46,23 @@ class BitVecSet
         return true;
     }
 
-    /** True when @p x is a member. */
-    bool
-    contains(const BitVec &x) const
+    /** Returned by indexOf for a non-member. */
+    static constexpr size_t npos = static_cast<size_t>(-1);
+
+    /** Insertion index of @p x, or npos when it is not a member. */
+    size_t
+    indexOf(const BitVec &x) const
     {
         if (slots_.empty())
-            return false;
+            return npos;
         for (size_t s = slotOf(x); slots_[s] != 0; s = (s + 1) & mask_)
             if (items_[slots_[s] - 1] == x)
-                return true;
-        return false;
+                return slots_[s] - 1;
+        return npos;
     }
+
+    /** True when @p x is a member. */
+    bool contains(const BitVec &x) const { return indexOf(x) != npos; }
 
     size_t size() const { return items_.size(); }
 

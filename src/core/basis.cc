@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <numeric>
 
 #include "common/bitvecset.h"
 #include "common/logging.h"
@@ -283,31 +284,81 @@ simplifyBasis(std::vector<linalg::IntVec> basis, int max_passes)
 
 namespace {
 
+/** Disjoint sets over [0, n): path halving, union by size. */
+class UnionFind
+{
+  public:
+    explicit UnionFind(size_t n) : parent_(n), size_(n, 1), components_(n)
+    {
+        std::iota(parent_.begin(), parent_.end(), uint32_t{0});
+    }
+
+    uint32_t
+    find(uint32_t x)
+    {
+        while (parent_[x] != x) {
+            parent_[x] = parent_[parent_[x]];
+            x = parent_[x];
+        }
+        return x;
+    }
+
+    void
+    unite(uint32_t a, uint32_t b)
+    {
+        a = find(a);
+        b = find(b);
+        if (a == b)
+            return;
+        if (size_[a] < size_[b])
+            std::swap(a, b);
+        parent_[b] = a;
+        size_[a] += size_[b];
+        --components_;
+    }
+
+    size_t components() const { return components_; }
+
+  private:
+    std::vector<uint32_t> parent_;
+    std::vector<uint32_t> size_;
+    size_t components_;
+};
+
 /**
- * Close @p reached under +/-u moves for every u in @p vectors, expanding
- * its items from index @p from on.  Every item before @p from must have
- * all its partners in @p reached already.
+ * Join the states of @p feasible that one +/-u move links.  Each edge
+ * x <-> x + u is taken once, from the state x that u raises.  A kernel
+ * vector maps feasible states to feasible states, so the partner is
+ * always in @p feasible.
  */
 void
-growClosure(const std::vector<TransitionHamiltonian> &vectors,
-            BitVecSet &reached, size_t from)
+joinMoves(const linalg::IntVec &u, const BitVecSet &feasible,
+          UnionFind &components)
 {
-    for (size_t k = from; k < reached.size(); ++k) {
-        const BitVec x = reached[k];
-        for (const auto &tau : vectors)
-            if (auto y = tau.partner(x))
-                reached.insert(*y);
+    const TransitionHamiltonian tau(u);
+    for (size_t i = 0; i < feasible.size(); ++i) {
+        const BitVec &x = feasible[i];
+        if ((x & tau.mask()) != tau.patternPlus())
+            continue;
+        const size_t j = feasible.indexOf(x ^ tau.mask());
+        panic_if(j == BitVecSet::npos,
+                 "a transition move leaves the feasible set");
+        components.unite(static_cast<uint32_t>(i), static_cast<uint32_t>(j));
     }
 }
 
-/** Closure of {start} under +/-u moves for every u in @p vectors. */
-BitVecSet
-reachableClosure(const std::vector<TransitionHamiltonian> &vectors,
-                 const BitVec &start)
+/** True when the moves of @p vectors connect all of @p feasible. */
+bool
+connectsAll(const std::vector<linalg::IntVec> &vectors,
+            const BitVecSet &feasible)
 {
-    BitVecSet reached(start);
-    growClosure(vectors, reached, 0);
-    return reached;
+    UnionFind components(feasible.size());
+    for (const auto &u : vectors) {
+        joinMoves(u, feasible, components);
+        if (components.components() == 1)
+            return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -336,52 +387,54 @@ transitionVectors(const problems::Problem &problem, bool simplify,
     // Enumerating one state past the limit decides the size without
     // walking a huge feasible set; within the limit the DFS yields the
     // whole set in feasibleSolutions() order.
-    const auto feasible = linalg::enumerateBinaryBits(
+    const auto enumerated = linalg::enumerateBinaryBits(
         problem.constraints(), problem.bounds(), max_feasible + 1);
-    if (feasible.size() > max_feasible)
+    if (enumerated.size() > max_feasible)
         return withOriginals();
-    if (feasible.size() <= 1)
+    if (enumerated.size() <= 1)
         return basis;
 
     RASENGAN_PROF("transition", "augment-connectivity");
+    BitVecSet feasible;
+    for (const BitVec &x : enumerated)
+        panic_if(!feasible.insert(x),
+                 "duplicate feasible state in augmentation");
     const BitVec &start = problem.trivialFeasible();
-    auto transitions = makeTransitions(basis);
-    BitVecSet reached = reachableClosure(transitions, start);
+    const size_t start_index = feasible.indexOf(start);
+    panic_if(start_index == BitVecSet::npos,
+             "the trivial feasible state is not enumerated");
 
+    // The closure of the start under the vectors so far is its
+    // component in the graph on the feasible set whose edges are single
+    // moves.
+    UnionFind components(feasible.size());
+    for (const auto &u : basis)
+        joinMoves(u, feasible, components);
     const int n = problem.numVars();
-    for (const BitVec &target : feasible) {
-        if (reached.contains(target))
+    for (size_t t = 0; t < feasible.size(); ++t) {
+        if (components.find(static_cast<uint32_t>(t)) ==
+            components.find(static_cast<uint32_t>(start_index)))
             continue;
         // Connect the orphaned state directly to the start: the
         // difference of two feasible solutions is a signed-0/1 kernel
-        // vector (Equation 3).
+        // vector (Equation 3).  It may capture more than one orphan, so
+        // join its moves before looking at the next target.
+        const BitVec &target = feasible[t];
         linalg::IntVec u(n);
         for (int i = 0; i < n; ++i)
             u[i] = (target.get(i) ? 1 : 0) - (start.get(i) ? 1 : 0);
-        panic_if(linalg::nonZeroCount(u) == 0,
-                 "duplicate feasible state in augmentation");
         basis.push_back(u);
-        transitions.emplace_back(basis.back());
-        // The new vector may capture more than one orphan, so update the
-        // closure before looking at the next target.  It is closed under
-        // every older vector: growth can only start at the new vector's
-        // partners of reached states.
-        const size_t closed = reached.size();
-        for (size_t k = 0; k < closed; ++k)
-            if (auto y = transitions.back().partner(reached[k]))
-                reached.insert(*y);
-        growClosure(transitions, reached, closed);
+        joinMoves(basis.back(), feasible, components);
     }
 
     // Augmentation vectors (raw feasible differences) can have wide
     // supports; run Algorithm 1 once more over the full set and keep the
-    // result only when it preserves the walk's coverage.  An unchanged
-    // set has the same closure, so it needs no re-check.
+    // result only when it preserves the walk's coverage.  The walk now
+    // covers the whole feasible set, so that holds iff the candidate's
+    // moves connect it.  An unchanged set needs no re-check.
     if (simplify && basis.size() > 1) {
         auto candidate = simplifyBasis(basis);
-        if (candidate != basis &&
-            reachableClosure(makeTransitions(candidate), start).size() ==
-                reached.size())
+        if (candidate != basis && connectsAll(candidate, feasible))
             basis = std::move(candidate);
     }
     return basis;

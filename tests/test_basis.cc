@@ -4,7 +4,8 @@
  * simplification): kernel membership, span preservation, nonzero-count
  * reduction (the Figure 5 example), and the simplification invariants
  * across the whole benchmark suite.  The bit-packed Algorithm 1 is
- * checked against the entrywise reference loop.
+ * checked against the entrywise reference loop, and the whole
+ * transition set against from-scratch closures.
  */
 
 #include <gtest/gtest.h>
@@ -211,6 +212,28 @@ TEST(BasisReference, PackedSimplifyMatchesReferenceOnLargeFlpBases)
                 << p.id();
         }
     }
+}
+
+TEST(BasisReference, TransitionSetMatchesReferenceOnSuite)
+{
+    // The union-find augmentation and connectivity re-check against
+    // from-scratch closures on every suite benchmark: G3 and G4 change
+    // their basis in the second simplification, so the re-check runs.
+    for (const std::string &id : problems::benchmarkIds())
+        reference::expectTransitionSetMatchesReference(
+            problems::makeBenchmark(id), id);
+}
+
+TEST(BasisReference, TransitionSetMatchesReferenceOnFlp27)
+{
+    // The 27-variable FLP parsed from text, as requests carry it, so it
+    // enumerates (132 feasible states) and augments.
+    auto parsed = problems::parseProblem(
+        problems::writeProblem(problems::makeScalabilityFlp(27)));
+    ASSERT_TRUE(parsed.problem.has_value()) << parsed.error;
+    ASSERT_TRUE(parsed.problem->enumerationEnabled());
+    reference::expectTransitionSetMatchesReference(*parsed.problem,
+                                                   parsed.problem->id());
 }
 
 TEST(BasisReference, PackedSimplifyRejectsNonSigned01Input)

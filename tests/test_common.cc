@@ -69,13 +69,17 @@ TEST(BitVecSet, KeepsInsertionOrderAcrossGrowth)
     for (size_t i = 0; i < order.size(); ++i) {
         EXPECT_EQ(set[i], order[i]) << i;
         EXPECT_TRUE(set.contains(order[i])) << i;
+        EXPECT_EQ(set.indexOf(order[i]), i);
     }
     BitVec absent;
     absent.set(3);
     absent.set(70);
     absent.set(100);
     EXPECT_EQ(set.contains(absent), seen.count(absent) == 1);
+    EXPECT_EQ(set.indexOf(absent) == BitVecSet::npos,
+              seen.count(absent) == 0);
     EXPECT_FALSE(BitVecSet().contains(BitVec{}));
+    EXPECT_EQ(BitVecSet().indexOf(BitVec{}), BitVecSet::npos);
     EXPECT_TRUE(BitVecSet(BitVec{}).contains(BitVec{}));
 }
 

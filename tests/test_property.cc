@@ -13,8 +13,10 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <numbers>
+#include <numeric>
 #include <sstream>
 
 #include "baselines/qubo.h"
@@ -24,6 +26,7 @@
 #include "core/basis.h"
 #include "core/chain.h"
 #include "core/rasengan.h"
+#include "circuit_reference.h"
 #include "core_reference.h"
 #include "device/latency.h"
 #include "device/routing.h"
@@ -145,6 +148,110 @@ TEST_P(PropertySweep, OptimizerPreservesRandomCircuits)
     for (uint64_t idx = 0; idx < (uint64_t{1} << n); ++idx)
         ASSERT_NEAR(overlapAfter(c, optimized, n, idx), 1.0, 1e-9)
             << "seed " << GetParam() << " basis " << idx;
+}
+
+/**
+ * A random circuit dense in peephole matches: few wires, angles whose
+ * pairs cancel to exactly or nearly 0 (1e-13 alone is an identity
+ * rotation), CP and MCP repeated with their qubits permuted, and
+ * barriers.
+ */
+circuit::Circuit
+peepholeCircuit(Rng &rng, int n, int gates)
+{
+    const double angles[] = {0.5, -0.5, 0.25, -0.75, 1e-13, -0.5 + 4e-13};
+    auto angle = [&] { return angles[rng.index(std::size(angles))]; };
+    auto wire = [&] { return static_cast<int>(rng.index(n)); };
+    auto distinct = [&](int k) {
+        std::vector<int> qs(n);
+        std::iota(qs.begin(), qs.end(), 0);
+        rng.shuffle(qs);
+        qs.resize(k);
+        return qs;
+    };
+    circuit::Circuit c(n);
+    for (int i = 0; i < gates; ++i) {
+        switch (rng.index(11)) {
+          case 0: c.x(wire()); break;
+          case 1: c.h(wire()); break;
+          case 2: c.rz(wire(), angle()); break;
+          case 3: c.rx(wire(), angle()); break;
+          case 4: c.p(wire(), angle()); break;
+          case 5: {
+            auto qs = distinct(2);
+            c.cx(qs[0], qs[1]);
+            break;
+          }
+          case 6: {
+            auto qs = distinct(2);
+            c.swap(qs[0], qs[1]);
+            break;
+          }
+          case 7:
+          case 8: {
+            auto qs = distinct(2);
+            c.cp(qs[0], qs[1], angle());
+            break;
+          }
+          case 9: {
+            auto qs = distinct(3);
+            const int target = qs.back();
+            qs.pop_back();
+            c.mcp(qs, target, angle());
+            break;
+          }
+          default: c.barrier(); break;
+        }
+    }
+    return c;
+}
+
+TEST_P(PropertySweep, OptimizerMatchesQuadraticReference)
+{
+    // The stack-based peephole pass against the backward-scanning one,
+    // gate for gate: random circuits, then every segment of the suite
+    // benchmarks whose index is this seed mod 12, before lowering and
+    // transpiled in both modes, at nominal and at random times.
+    const std::string where = "seed " + std::to_string(GetParam());
+    for (int k = 0; k < 32; ++k) {
+        const int n = 3 + static_cast<int>(rng.index(2));
+        circuit::reference::expectOptimizerMatchesReference(
+            peepholeCircuit(rng, n, 120), where + " peephole " +
+                                              std::to_string(k));
+    }
+    circuit::reference::expectOptimizerMatchesReference(
+        randomCircuit(rng, 4, 60), where + " random");
+
+    const std::vector<std::string> ids = problems::benchmarkIds();
+    core::RasenganOptions options;
+    options.maxIterations = 6;
+    for (size_t i = GetParam(); i < ids.size(); i += 12) {
+        const problems::Problem p = problems::makeBenchmark(ids[i]);
+        core::RasenganSolver solver(p, options);
+        std::vector<double> random_times(solver.numParams());
+        for (double &t : random_times)
+            t = rng.uniformReal(-1.5, 1.5);
+        for (const auto &times :
+             {std::vector<double>(solver.numParams(), options.initialTime),
+              random_times}) {
+            for (size_t s = 0; s < solver.segments().size(); ++s) {
+                const circuit::Circuit segment = solver.segmentCircuit(
+                    static_cast<int>(s), p.trivialFeasible(), times);
+                const std::string what =
+                    where + " " + p.id() + " segment " + std::to_string(s);
+                circuit::reference::expectOptimizerMatchesReference(
+                    segment, what);
+                for (auto mode : {circuit::TranspileMode::GrayCode,
+                                  circuit::TranspileMode::AncillaLadder}) {
+                    circuit::reference::expectOptimizerMatchesReference(
+                        circuit::transpile(segment,
+                                           {.mode = mode, .lowerToCx = true}),
+                        what + " mode " +
+                            std::to_string(static_cast<int>(mode)));
+                }
+            }
+        }
+    }
 }
 
 TEST_P(PropertySweep, RoutedRandomCircuitsPreserveProbabilities)

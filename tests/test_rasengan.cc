@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -75,7 +76,10 @@ flpText(int m, int d)
     return text.str();
 }
 
-/** FNV-1a over every field of the transition set, chain and segments. */
+/**
+ * FNV-1a over every field of the transition set, chain, segments and
+ * segment costs (circuitUs by its bit pattern).
+ */
 uint64_t
 artifactDigest(const PipelineArtifacts &artifacts)
 {
@@ -106,6 +110,16 @@ artifactDigest(const PipelineArtifacts &artifacts)
         mix(static_cast<uint64_t>(seg.firstStep));
         mix(static_cast<uint64_t>(seg.stepCount));
     }
+    mix(artifacts.segmentCosts.size());
+    for (const SegmentCost &cost : artifacts.segmentCosts) {
+        uint64_t us_bits = 0;
+        static_assert(sizeof(us_bits) == sizeof(cost.circuitUs));
+        std::memcpy(&us_bits, &cost.circuitUs, sizeof(us_bits));
+        mix(us_bits);
+        mix(static_cast<uint64_t>(cost.depth));
+        mix(static_cast<uint64_t>(cost.cx));
+        mix(static_cast<uint64_t>(cost.loweredCx));
+    }
     return h;
 }
 
@@ -113,15 +127,16 @@ TEST(Rasengan, FlpPipelineArtifactsMatchGoldenDigest)
 {
     // Pinned digests of the enumerable 27- and 44-variable FLP
     // pipelines (132 and 2192 feasible states, both augmented): a change
-    // to the basis, augmentation, chain sweep or segmentation that moves
-    // any artifact byte fails here.
+    // to the basis, augmentation, chain sweep, segmentation or segment
+    // costs (lowering, optimizer, depth) that moves any artifact byte
+    // fails here.
     struct Golden
     {
         int facilities, demands;
         uint64_t digest;
     };
-    for (const Golden &g : {Golden{3, 4, 0xc765e3fbcafdd2acull},
-                            Golden{4, 5, 0x17a557485746e6d9ull}}) {
+    for (const Golden &g : {Golden{3, 4, 0xe3a3372d7b3dd351ull},
+                            Golden{4, 5, 0x39751c766703e705ull}}) {
         auto parsed = problems::parseProblem(flpText(g.facilities, g.demands));
         ASSERT_TRUE(parsed.problem.has_value()) << parsed.error;
         ASSERT_TRUE(parsed.problem->enumerationEnabled());
